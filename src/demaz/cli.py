@@ -36,6 +36,7 @@ from .slipface import (
     ess_set,
     read_slipface,
     sf_from_perm,
+    sf_leq_ess,
     sf_leq_grid,
     sf_star,
     sf_to_perm,
@@ -110,7 +111,14 @@ def _cmd_compute(args) -> int:
         _emit_perm(inverse(a), args.json)
         return 0
     b = parse_perm(args.b)
-    _emit_perm(ops[args.verb](a, b), args.json)
+    r = ops[args.verb](a, b)
+    if _EXTENDED and args.verb != "compose" and a.period == b.period == 1:
+        if demazure.grid_product(args.verb, a, b) != r:
+            raise DemazError(
+                f"extended check failed: finitary {args.verb} differs from "
+                "the grid engine"
+            )
+    _emit_perm(r, args.json)
     return 0
 
 
@@ -129,9 +137,14 @@ def _cmd_compare(args) -> int:
     else:
         ok, wit = rels[args.rel](a, b)
     if _EXTENDED and args.rel == "leq":
-        grid_ok = sf_leq_grid(sf_from_perm(a), sf_from_perm(b))[0]
-        if grid_ok != ok:
+        sa, sb = sf_from_perm(a), sf_from_perm(b)
+        if sf_leq_grid(sa, sb)[0] != ok:
             raise DemazError("extended check failed: comparators disagree")
+        if a.period == b.period == 1 and sf_leq_ess(sa, sb) != (ok, wit):
+            raise DemazError(
+                "extended check failed: finitary comparison differs from the "
+                "grid engine"
+            )
     if args.json:
         _emit_json(
             {
@@ -273,6 +286,16 @@ def _cmd_oracle(args) -> int:
 # parser
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _global_flags(default) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument(
@@ -280,7 +303,7 @@ def _global_flags(default) -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-window",
-        type=int,
+        type=_positive_int,
         default=default,
         metavar="N",
         help="resource cap on window sizes",
@@ -380,7 +403,7 @@ def main(argv=None) -> int:
     args.max_window = getattr(args, "max_window", None)
     args.extended_checks = bool(getattr(args, "extended_checks", None))
     old_cap = get_max_window()
-    if args.max_window:
+    if args.max_window is not None:
         set_max_window(args.max_window)
     _EXTENDED = args.extended_checks
     try:
@@ -402,3 +425,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -2,10 +2,13 @@
 
 star(a, b) is the unique permutation whose slipface is the min-plus product
 of the factors' slipfaces; tll and tlr are the Bruhat-minimal solutions of
-the corresponding one-sided inequalities.  All three route through the
-slipface engine and reconstruction.  Generator inputs (disjoint adjacent
-transpositions) additionally have direct fast paths that never touch grids,
-used both for speed and as an independent cross-check.
+the corresponding one-sided inequalities.  When both operands have period 1
+all three run on the finitary engine (``finitary``), which folds a reduced
+word on the windows; any other pair goes through the slipface grid engine
+and reconstruction, which ``grid_product`` also exposes for period 1 as the
+reference.  Generator inputs (disjoint adjacent transpositions) additionally
+have direct paths, ``star_sigma`` and ``tll_sigma``, which are kept as an
+independent cross-check.
 
 The reduction machinery turns an inequality star(a, b) >= g into an exact
 factorization g = a1 * b1 with a1, b1 below a, b in the shift-graded order
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import finitary
 from .errors import InternalInconsistency, InvalidGeneratorSet, NotDominated
 from .perm import (
     Permutation,
@@ -49,28 +53,40 @@ __all__ = [
 ]
 
 
+_GRID = {"star": sf_star, "tll": sf_tll, "tlr": sf_tlr}
+_FOLD = {"star": finitary.star, "tll": finitary.tll, "tlr": finitary.tlr}
+
+
+def grid_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
+    """star, tll or tlr (by ``kind``) through the slipface grid engine, for
+    any periods: the reference the finitary engine is checked against."""
+    return sf_to_perm(_GRID[kind](sf_from_perm(p), sf_from_perm(q)))
+
+
+def _product(kind: str, p: Permutation, q: Permutation) -> Permutation:
+    if p.period == 1 and q.period == 1:
+        r = _FOLD[kind](p, q)
+    else:
+        r = grid_product(kind, p, q)
+    if r.chi != p.chi + q.chi:
+        what = "product" if kind == "star" else "adjoint"
+        raise InternalInconsistency(f"shift is not additive under the {what}")
+    return r
+
+
 def star(p: Permutation, q: Permutation) -> Permutation:
     """Greedy product: the unique r with s_r = s_p (min-plus) s_q."""
-    r = sf_to_perm(sf_star(sf_from_perm(p), sf_from_perm(q)))
-    if r.chi != p.chi + q.chi:
-        raise InternalInconsistency("shift is not additive under the product")
-    return r
+    return _product("star", p, q)
 
 
 def tll(p: Permutation, q: Permutation) -> Permutation:
     """Stingy left adjoint; tll(p, inverse(q)) = min{r : star(r, q) >= p}."""
-    r = sf_to_perm(sf_tll(sf_from_perm(p), sf_from_perm(q)))
-    if r.chi != p.chi + q.chi:
-        raise InternalInconsistency("shift is not additive under the adjoint")
-    return r
+    return _product("tll", p, q)
 
 
 def tlr(p: Permutation, q: Permutation) -> Permutation:
     """Stingy right adjoint; tlr(inverse(p), q) = min{r : star(p, r) >= q}."""
-    r = sf_to_perm(sf_tlr(sf_from_perm(p), sf_from_perm(q)))
-    if r.chi != p.chi + q.chi:
-        raise InternalInconsistency("shift is not additive under the adjoint")
-    return r
+    return _product("tlr", p, q)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Bruhat order, shift-graded order, and the two weak orders.
 
 Bruhat comparison is pointwise comparison of the rank-counting slipfaces,
-accelerated by checking only essential points of the smaller side.  The weak
-orders compare inversion sets; those are decided exactly on a finite
+accelerated by checking only essential points of the smaller side.  When both
+sides have period 1 the finitary engine reads the two rank tables on the left
+side's window; otherwise the slipface grids are compared.  Both report the
+same verdict and witness cell.
+
+The weak orders compare inversion sets; those are decided exactly on a finite
 certified band, because every inversion (u, v) of alpha satisfies
 v - u <= 2 * diff_bound(alpha) and inversion sets of eventually periodic
 permutations repeat diagonally in the deep tails.
@@ -12,8 +16,9 @@ from __future__ import annotations
 
 import math
 
+from . import finitary
 from .perm import Permutation, has_inversion, inverse
-from .slipface import sf_from_perm, sf_leq_ess, sf_leq_grid
+from .slipface import sf_from_perm, sf_leq_ess
 
 __all__ = [
     "bruhat_leq",
@@ -30,17 +35,14 @@ def bruhat_leq_witness(
     p: Permutation, q: Permutation
 ) -> tuple[bool, tuple[int, int] | None]:
     """Bruhat comparison with a violating cell (a, b) when it fails."""
+    if p.period == 1 and q.period == 1:
+        return finitary.bruhat_leq_witness(p, q)
     return sf_leq_ess(sf_from_perm(p), sf_from_perm(q))
 
 
 def bruhat_leq(p: Permutation, q: Permutation) -> bool:
     """Whether s_p <= s_q pointwise on Z^2."""
     return bruhat_leq_witness(p, q)[0]
-
-
-def bruhat_leq_grid(p: Permutation, q: Permutation) -> bool:
-    """Bruhat comparison by the brute grid scan (cross-check path)."""
-    return sf_leq_grid(sf_from_perm(p), sf_from_perm(q))[0]
 
 
 def leq_chi(p: Permutation, q: Permutation) -> bool:

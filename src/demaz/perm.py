@@ -173,6 +173,20 @@ def _raw_chi(period: int, lo: int, vals: Sequence[int], bound: int) -> int:
     return pos - neg
 
 
+def _preimages(
+    period: int, lo: int, vals: Sequence[int], n0: int, n1: int
+) -> dict[int, list[int]]:
+    """Map each value alpha(n), n in [n0, n1], to its preimages there, ascending.
+
+    Every preimage n of a target a satisfies |n - a| <= diff_bound, so a band
+    reaching diff_bound beyond the targets holds all of their preimages.
+    """
+    pre: dict[int, list[int]] = {}
+    for n in range(n0, n1 + 1):
+        pre.setdefault(_tail_apply(period, lo, vals, n), []).append(n)
+    return pre
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -226,21 +240,17 @@ def validate(period: int, lo: int, vals: Sequence[int]) -> list[Violation]:
 
     m = _raw_diff_bound(k, lo, vals)
 
-    seen: dict[int, int] = {}
-    for n in range(lo - 2 * m - 2 * k, hi + 2 * m + 2 * k + 1):
-        v = _tail_apply(k, lo, vals, n)
-        if v in seen:
-            out.append(
-                Violation("duplicate-image", f"alpha({seen[v]}) = alpha({n}) = {v}")
-            )
-        seen[v] = n
+    pre = _preimages(k, lo, vals, lo - 2 * m - 2 * k, hi + 2 * m + 2 * k)
+    collisions = sorted(
+        (hits[i], hits[i - 1], v)
+        for v, hits in pre.items()
+        for i in range(1, len(hits))
+    )
+    for n, prev, v in collisions:
+        out.append(Violation("duplicate-image", f"alpha({prev}) = alpha({n}) = {v}"))
 
     for a in range(lo - m - k, hi + m + k + 1):
-        hits = [
-            n
-            for n in range(a - m, a + m + 1)
-            if _tail_apply(k, lo, vals, n) == a
-        ]
+        hits = pre.get(a)
         if not hits:
             out.append(Violation("missing-preimage", f"no n with alpha(n) = {a}"))
         elif len(hits) > 1:
@@ -430,12 +440,13 @@ def inverse(p: Permutation) -> Permutation:
     k, m = p.period, p.diff_bound
     lo_i = p.lo - m - k
     hi_i = p.hi + m + k
+    pre = _preimages(k, p.lo, p.vals, lo_i - m, hi_i + m)
     vals = []
     for a in range(lo_i, hi_i + 1):
-        pre = [n for n in range(a - m, a + m + 1) if apply(p, n) == a]
-        if len(pre) != 1:
+        hits = pre.get(a, ())
+        if len(hits) != 1:
             raise InvalidPermutation(f"no unique preimage of {a}")
-        vals.append(pre[0])
+        vals.append(hits[0])
     return from_window(k, lo_i, vals)
 
 

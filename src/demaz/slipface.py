@@ -193,6 +193,13 @@ def _box_frame_grid(s: Slipface) -> np.ndarray:
 # constructors
 
 
+def perm_box(p: Permutation) -> tuple[int, int, int]:
+    """(band, c0, c1): the band of s_p and the box [c0, c1]^2 sf_from_perm tabulates."""
+    k, m = p.period, p.diff_bound
+    band = max(m + 1, abs(p.chi) + 1)
+    return band, p.lo - m - band - k - 2, p.hi + m + band + k + 2
+
+
 @lru_cache(maxsize=1024)
 def sf_from_perm(p: Permutation) -> Slipface:
     """The rank-counting slipface of a permutation, tabulated exactly.
@@ -202,10 +209,8 @@ def sf_from_perm(p: Permutation) -> Slipface:
     eval_s everywhere.  The rightmost column comes from eval_s; the rest fill
     in leftward through s(a, b) = s(a, b+1) + [alpha(b) < a].
     """
-    k, m = p.period, p.diff_bound
-    band = max(m + 1, abs(p.chi) + 1)
-    c0 = p.lo - m - band - k - 2
-    c1 = p.hi + m + band + k + 2
+    k = p.period
+    band, c0, c1 = perm_box(p)
     side = c1 - c0 + 1
     avals = np.arange(c0, c1 + 1, dtype=np.int64)
     grid = np.empty((side, side), dtype=np.int64)
@@ -409,19 +414,26 @@ class EssSet(NamedTuple):
     period: int
 
 
-def _ess_mask_points(s: Slipface, a0: int, a1: int, b0: int, b1: int):
-    """Essential points with (a, b) in the given rectangle."""
-    g = sf_eval_grid(s, a0 - 1, a1 + 1, b0 - 1, b1 + 1)
+def ess_mask(g: np.ndarray) -> np.ndarray:
+    """Essential cells of the interior of g, a rank table with a one-cell frame:
+    s(a, b) > s(a-1, b), s(a, b) = s(a+1, b), s(a, b) > s(a, b+1) and
+    s(a, b) = s(a, b-1)."""
     c = g[1:-1, 1:-1]
-    mask = (
+    return (
         (c > g[:-2, 1:-1])
         & (c == g[2:, 1:-1])
         & (c > g[1:-1, 2:])
         & (c == g[1:-1, :-2])
     )
+
+
+def _ess_mask_points(s: Slipface, a0: int, a1: int, b0: int, b1: int):
+    """Essential points with (a, b) in the given rectangle."""
+    g = sf_eval_grid(s, a0 - 1, a1 + 1, b0 - 1, b1 + 1)
+    c = g[1:-1, 1:-1]
     return [
         EssPoint(a0 + int(i), b0 + int(j), int(c[i, j]))
-        for i, j in np.argwhere(mask)
+        for i, j in np.argwhere(ess_mask(g))
     ]
 
 
@@ -477,15 +489,8 @@ def sf_leq_ess(s: Slipface, t: Slipface) -> tuple[bool, tuple[int, int] | None]:
         return False, _far_witness(s, t)
     lo, hi = _union_region(s, t)
     S = sf_eval_grid(s, lo - 1, hi + 1, lo - 1, hi + 1)
-    c = S[1:-1, 1:-1]
-    mask = (
-        (c > S[:-2, 1:-1])
-        & (c == S[2:, 1:-1])
-        & (c > S[1:-1, 2:])
-        & (c == S[1:-1, :-2])
-    )
     T = sf_eval_grid(t, lo, hi, lo, hi)
-    bad = mask & (c > T)
+    bad = ess_mask(S) & (S[1:-1, 1:-1] > T)
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
         return False, (lo + int(i), lo + int(j))

@@ -1,6 +1,9 @@
 """Command-line surface: verbs, flags, exit codes, JSON schemas."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -17,6 +20,7 @@ from demaz import (
     read_slipface,
     write_slipface,
 )
+from demaz import demazure, finitary
 from demaz.cli import main
 
 
@@ -183,3 +187,40 @@ def test_extended_checks_flag(capsys):
     code, out, _ = run(capsys, "--extended-checks", "star", "sigma(1)", "sigma(2)")
     assert code == 0
     parse_perm(out.strip())
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["star", "sigma(1)", "sigma(2)"]
+    code, out, _ = run(capsys, *argv)
+    src = os.path.dirname(os.path.dirname(demazure.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "demaz", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (code, out)
+
+
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_max_window_below_one_is_a_usage_error(capsys, cap):
+    with pytest.raises(SystemExit) as exc:
+        main(["--max-window", cap, "star", "sigma(1)", "sigma(2)"])
+    assert exc.value.code == 2
+    assert "--max-window" in capsys.readouterr().err
+
+
+def test_extended_checks_rerun_finitary_paths_on_the_grid(capsys, monkeypatch):
+    ext = "--extended-checks"
+    for verb in ("star", "tll", "tlr"):
+        assert run(capsys, ext, verb, "gamma(2,3)", "shift(4)")[0] == 0
+    code, out, _ = run(capsys, ext, "compare", "leq", "gamma(2,3)", "gamma(1,2)")
+    assert (code, out) == (1, "false witness=(1,0)\n")
+
+    monkeypatch.setitem(demazure._FOLD, "tll", demazure.star)
+    code, out, err = run(capsys, ext, "tll", "sym(1; 3 2 1)", "sigma(1)")
+    assert (code, out) == (3, "")
+    assert "extended check failed: finitary tll" in err
+    monkeypatch.setattr(finitary, "bruhat_leq_witness", lambda p, q: (False, (0, 0)))
+    code, _, err = run(capsys, ext, "compare", "leq", "shift(1)", "shift(0)")
+    assert code == 3
+    assert "extended check failed: finitary comparison" in err

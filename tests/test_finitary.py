@@ -1,0 +1,211 @@
+"""The finitary engine against the grid engine and the brute-force oracles.
+
+Period-1 products and Bruhat comparisons have two implementations: the word
+fold and window rank tables of demaz.finitary, which star/tll/tlr and
+bruhat_leq_witness use, and the slipface grid engine, which serves every
+period.  Both must give the same permutations, verdicts and witness cells.
+The inputs stress the shift factoring and the window arithmetic: large
+shifts on either side, windows far from 0, unequal two-block shuffles.
+"""
+
+import random
+
+import pytest
+
+from conftest import rand_line, zoo_perm
+
+from demaz import (
+    bruhat_leq_witness,
+    compose,
+    inverse,
+    make_from_one_line,
+    make_gamma,
+    make_shift,
+    make_sigma_set,
+    sf_from_perm,
+    sf_leq_ess,
+    sf_star,
+    sf_tll,
+    sf_tlr,
+    sf_to_perm,
+    star,
+    star_sigma,
+    tll,
+    tll_sigma,
+    tlr,
+)
+from demaz.oracle import (
+    oracle_greedy_max,
+    oracle_star_sd,
+    oracle_star_word,
+    oracle_stingy_min,
+)
+
+GRID = {"star": sf_star, "tll": sf_tll, "tlr": sf_tlr}
+FAST = {"star": star, "tll": tll, "tlr": tlr}
+
+
+def grid(kind, p, q):
+    return sf_to_perm(GRID[kind](sf_from_perm(p), sf_from_perm(q)))
+
+
+def grid_leq(p, q):
+    return sf_leq_ess(sf_from_perm(p), sf_from_perm(q))
+
+
+def assert_agree(p, q):
+    assert p.period == q.period == 1
+    for kind, fast in FAST.items():
+        assert fast(p, q) == grid(kind, p, q), (kind, p, q)
+    assert bruhat_leq_witness(p, q) == grid_leq(p, q), (p, q)
+    assert bruhat_leq_witness(q, p) == grid_leq(q, p), (q, p)
+
+
+def sym(rng, d, off=1, chi=0):
+    """A random element of S_d on [off, off + d - 1], then shifted by chi."""
+    line = [v + off - 1 for v in rand_line(rng, d)]
+    p = make_from_one_line(line, off)
+    return compose(make_shift(chi), p) if chi else p
+
+
+def reduced_word(q):
+    """A reduced word n1 n2 ... with q = sigma(n1) sigma(n2) ..., for a
+    shift-0 period-1 q, by plain bubble sort of its window."""
+    assert q.chi == 0
+    line = list(q.vals)
+    swaps = []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(line) - 1):
+            if line[i] > line[i + 1]:
+                line[i], line[i + 1] = line[i + 1], line[i]
+                swaps.append(q.lo + i)
+                changed = True
+    return swaps[::-1]
+
+
+def test_zoo_finitary_members_agree(rng):
+    pool = [p for p in (zoo_perm(rng) for _ in range(80)) if p.period == 1]
+    assert len(pool) >= 20
+    for p, q in zip(pool, pool[1:] + pool[:1]):
+        assert_agree(p, q)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 13, 21, 30])
+def test_random_sd_agree_with_grid_and_oracle_star_sd(d):
+    rng = random.Random(d)
+    for _ in range(2 if d > 20 else 4):
+        p, q = sym(rng, d), sym(rng, d)
+        assert_agree(p, q)
+        assert star(p, q) == oracle_star_sd(p, q, d)
+
+
+def test_extremal_oracles_s4_s5(rng):
+    for d, trials in ((4, 25), (5, 6)):
+        for _ in range(trials):
+            p, q = sym(rng, d), sym(rng, d)
+            assert star(p, q) == oracle_greedy_max(p, q, d)
+            assert tll(p, q) == oracle_stingy_min(p, inverse(q), d)
+            assert tlr(p, q) == inverse(oracle_stingy_min(inverse(q), p, d))
+
+
+@pytest.mark.parametrize("off", [10**4, -(10**4) - 7])
+def test_windows_far_from_zero(rng, off):
+    for d, chi_p, chi_q in ((6, 0, 0), (9, 3, -2), (4, -5, 5)):
+        p = sym(rng, d, off + rng.randint(-3, 3), chi_p)
+        q = sym(rng, d, off + rng.randint(-3, 3), chi_q)
+        assert_agree(p, q)
+
+
+def test_far_apart_operands_against_word_and_sigma_oracles(rng):
+    # the windows are 10^4 apart: the grid engine's box would exceed its cap
+    for chi in (0, 7, -4):
+        p = sym(rng, 6, 10**4, chi)
+        q = sym(rng, 5, -3)
+        assert star(p, q) == oracle_star_word(p, reduced_word(q))
+        w = compose(make_shift(-chi), p)
+        assert star(q, w) == oracle_star_word(q, reduced_word(w))
+        members = [-2, 0, 4]
+        sigma = make_sigma_set(members)
+        assert star(p, sigma) == star_sigma(p, members)
+        assert tll(p, sigma) == tll_sigma(p, members)
+        assert tlr(p, q) == inverse(tll(inverse(q), inverse(p)))
+
+
+@pytest.mark.parametrize("chi_p, chi_q", [(50, 0), (0, -50), (-50, 50), (23, -41)])
+def test_large_shifts(rng, chi_p, chi_q):
+    p, q = sym(rng, 4, chi=chi_p), sym(rng, 5, -2, chi_q)
+    assert_agree(p, q)
+    w = compose(make_shift(-chi_q), q)
+    assert star(p, w) == oracle_star_word(p, reduced_word(w))
+
+
+def test_far_witness_when_left_shift_is_larger(rng):
+    p, q = sym(rng, 5, chi=3), sym(rng, 7, -4, chi=-2)
+    ok, wit = bruhat_leq_witness(p, q)
+    assert not ok and wit is not None
+    assert (ok, wit) == grid_leq(p, q)
+
+
+@pytest.mark.parametrize("m, n", [(0, 3), (4, 1), (2, 7), (6, 0), (3, 5)])
+def test_unequal_two_block_shuffles(m, n):
+    g = make_gamma(m, n)
+    for h in (make_gamma(n, m + 1), make_gamma(1, 4), inverse(g)):
+        assert_agree(g, h)
+        assert_agree(h, g)
+
+
+def test_finitary_operations_build_no_grid(rng):
+    p, q = sym(rng, 12, chi=2), sym(rng, 10, -3, chi=-1)
+    before = sf_from_perm.cache_info()
+    for fast in FAST.values():
+        fast(p, q)
+    bruhat_leq_witness(p, q)
+    after = sf_from_perm.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_d1000_smoke():
+    rng = random.Random(1000)
+    p, q = sym(rng, 1000), sym(rng, 1000)
+    for fast in FAST.values():
+        r = fast(p, q)
+        assert r.period == 1 and r.chi == 0
+    bruhat_leq_witness(p, q)
+
+
+def test_rank_tables_match_eval_s(rng):
+    from demaz import eval_s
+    from demaz.finitary import _rank_table
+
+    for _ in range(40):
+        p = sym(rng, rng.randint(1, 6), rng.randint(-4, 4), rng.randint(-6, 6))
+        a0, b0 = rng.randint(-12, 6), rng.randint(-12, 6)
+        if rng.random() < 0.3:
+            far = rng.choice((-1, 1)) * 10**5
+            a0, b0 = a0 + far, b0 + far
+        a1, b1 = a0 + rng.randint(0, 12), b0 + rng.randint(0, 12)
+        want = [[eval_s(p, a, b) for b in range(b0, b1 + 1)] for a in range(a0, a1 + 1)]
+        assert _rank_table(p, a0, a1, b0, b1).tolist() == want, (p, a0, a1, b0, b1)
+
+
+def test_fold_certificates_fire(rng, monkeypatch):
+    from demaz import InternalInconsistency, finitary
+
+    p, q = sym(rng, 6), sym(rng, 6, chi=1)
+    monkeypatch.setattr(finitary, "_inversions", lambda seq: 0)
+    for fast in FAST.values():
+        with pytest.raises(InternalInconsistency):
+            fast(p, q)
+
+
+def test_size_caps_apply_before_allocation(rng):
+    from demaz import ResourceLimit
+
+    far = sym(rng, 3, 2 * 10**6)
+    with pytest.raises(ResourceLimit, match="fold window"):
+        star(far, sym(rng, 3))
+    wide = sym(rng, 7000)
+    with pytest.raises(ResourceLimit, match="rank table"):
+        bruhat_leq_witness(wide, wide)

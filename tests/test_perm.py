@@ -224,3 +224,53 @@ def test_line_of_helper(rng):
         line = tuple(rng.sample(range(1, d + 1), d))
         assert line_of(make_from_one_line(line), d) == line
     assert rand_affine(rng, 3).period in (1, 3)
+
+
+def _validate_by_scan(k, lo, vals):
+    """The per-target preimage scan validate replaced; the reference for it."""
+    from demaz.perm import _raw_diff_bound, _tail_apply
+
+    out = []
+    hi = lo + len(vals) - 1
+    m = _raw_diff_bound(k, lo, vals)
+    ev = lambda n: _tail_apply(k, lo, vals, n)
+    seen = {}
+    for n in range(lo - 2 * m - 2 * k, hi + 2 * m + 2 * k + 1):
+        v = ev(n)
+        if v in seen:
+            out.append(("duplicate-image", f"alpha({seen[v]}) = alpha({n}) = {v}"))
+        seen[v] = n
+    for a in range(lo - m - k, hi + m + k + 1):
+        hits = [n for n in range(a - m, a + m + 1) if ev(n) == a]
+        if not hits:
+            out.append(("missing-preimage", f"no n with alpha(n) = {a}"))
+        elif len(hits) > 1:
+            out.append(("duplicate-preimage", f"alpha({hits}) all equal {a}"))
+    return out
+
+
+def test_validate_matches_the_preimage_scan(rng):
+    checked = 0
+    for _ in range(300):
+        k = rng.randint(1, 3)
+        n = rng.randint(k, 7)
+        vals = [rng.randint(-6, 6) for _ in range(n)]
+        if len({v % k for v in vals[:k]}) < k or len({v % k for v in vals[-k:]}) < k:
+            continue
+        lo = rng.randint(-4, 4)
+        got = [tuple(v) for v in validate(k, lo, vals)]
+        assert got == _validate_by_scan(k, lo, vals), (k, lo, vals)
+        checked += 1
+    assert checked > 50
+
+
+def test_inverse_matches_the_preimage_scan(rng):
+    for _ in range(60):
+        p = zoo_perm(rng)
+        m, k = p.diff_bound, p.period
+        lo_i = p.lo - m - k
+        want = [
+            next(n for n in range(a - m, a + m + 1) if apply(p, n) == a)
+            for a in range(lo_i, p.hi + m + k + 1)
+        ]
+        assert inverse(p) == from_window(k, lo_i, want)
