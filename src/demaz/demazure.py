@@ -10,9 +10,13 @@ reference.  Generator inputs (disjoint adjacent transpositions) additionally
 have direct paths, ``star_sigma`` and ``tll_sigma``, which are kept as an
 independent cross-check.
 
-The reduction machinery turns an inequality star(a, b) >= g into an exact
-factorization g = a1 * b1 with a1, b1 below a, b in the shift-graded order
-and the pair reduced, returning certified witnesses.
+A pair (a, b) is reduced when Inv(a) and Inv(b^-1) are disjoint, exactly
+when star(a, b) equals compose(a, b); the test is the inversion scan of
+``perm.first_inversion`` with the two masks and-ed, which also yields the
+first common inversion as witness.  The reduction machinery turns an
+inequality star(a, b) >= g into an exact factorization g = a1 * b1 with
+a1, b1 below a, b in the shift-graded order and the pair reduced, returning
+certified witnesses.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .perm import (
     ResidueClass,
     apply,
     compose,
+    first_inversion,
     from_window,
     identity,
     inverse,
@@ -158,25 +163,13 @@ def tll_sigma(p: Permutation, s) -> Permutation:
 def is_reduced_pair_witness(
     p: Permutation, q: Permutation
 ) -> tuple[bool, tuple[int, int] | None]:
-    """Whether Inv(p) and Inv(q^-1) are disjoint; common inversion if not.
-
-    A common inversion (u, v) obeys v - u <= 2 * min(diff bounds), and the
-    indicator repeats diagonally in the deep tails, so one common period
-    beyond the windows decides the question.
-    """
+    """Whether Inv(p) and Inv(q^-1) are disjoint; the first common inversion
+    in (u, v) order if not.  A common inversion has v - u <= 2 * min(diff
+    bounds)."""
     qi = inverse(q)
-    k = math.lcm(p.period, qi.period)
     m = min(p.diff_bound, qi.diff_bound)
-    if m == 0:
-        return True, None
-    span = 2 * m
-    u_lo = min(p.lo, qi.lo) - k - span - 2
-    u_hi = max(p.hi, qi.hi) + k + 2
-    for u in range(u_lo, u_hi + 1):
-        for v in range(u + 1, u + span + 1):
-            if apply(p, u) > apply(p, v) and apply(qi, u) > apply(qi, v):
-                return False, (u, v)
-    return True, None
+    wit = first_inversion((p, qi), m, lambda a, b: a & b)
+    return wit is None, wit
 
 
 def is_reduced_pair(p: Permutation, q: Permutation) -> bool:

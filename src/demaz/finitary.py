@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import InternalInconsistency, ResourceLimit
 from .perm import Permutation, from_window, get_max_window
+from .perm import _inversions, _relative_images
 from .slipface import _GRID_CELL_CAP, ess_mask, perm_box
 
 __all__ = ["star", "tll", "tlr", "bruhat_leq_witness"]
@@ -58,27 +59,6 @@ def _inverse(f: _Window) -> _Window:
     for i, v in enumerate(vals):
         out[v - lo + chi] = lo + i
     return lo - chi, out, -chi
-
-
-def _inversions(seq: list[int]) -> int:
-    """Pairs i < j with seq[i] > seq[j], counted with a Fenwick tree."""
-    if not seq:
-        return 0
-    base = min(seq) - 1
-    size = max(seq) - base
-    tree = [0] * (size + 1)
-    count = 0
-    for seen, x in enumerate(seq):
-        i = x - base
-        j, below = i, 0
-        while j:
-            below += tree[j]
-            j &= j - 1
-        count += seen - below
-        while i <= size:
-            tree[i] += 1
-            i += i & -i
-    return count
 
 
 def _fold(x: _Window, v: _Window, ascents: bool) -> _Window:
@@ -152,29 +132,20 @@ def tlr(p: Permutation, q: Permutation) -> Permutation:
 # Bruhat comparison
 
 
-def _images(p: Permutation, n0: int, n1: int) -> np.ndarray:
-    """alpha(n) for n in [n0, n1]."""
-    alpha = np.arange(n0 - p.chi, n1 - p.chi + 1, dtype=np.int64)
-    w0, w1 = max(n0, p.lo), min(n1, p.hi)
-    if w0 <= w1:
-        alpha[w0 - n0 : w1 - n0 + 1] = p.vals[w0 - p.lo : w1 - p.lo + 1]
-    return alpha
-
-
 def _rank_table(p: Permutation, a0: int, a1: int, b0: int, b1: int) -> np.ndarray:
     """s_p(a, b) = #{n >= b : alpha(n) < a} on [a0, a1] x [b0, b1]."""
     cells = (a1 - a0 + 1) * (b1 - b0 + 1)
     if cells > _GRID_CELL_CAP:
         raise ResourceLimit(f"rank table of {cells} cells exceeds grid cap")
     a = np.arange(a0, a1 + 1, dtype=np.int64)
-    below = _images(p, b0, b1)[None, :] < a[:, None]
+    below = b0 + _relative_images(p, b0, b1)[None, :] < a[:, None]
     counts = np.cumsum(below[:, ::-1], axis=1, dtype=np.int64)[:, ::-1]
     # n > b1: off the window alpha(n) = n - chi < a exactly when n <= top,
     # counted in closed form; the window's values by sorted search
     w0, w1 = max(b1 + 1, p.lo), p.hi
     top = a + p.chi - 1
     off = np.maximum(0, top - b1) - np.maximum(0, np.minimum(top, w1) - w0 + 1)
-    inside = np.sort(_images(p, w0, w1)) if w0 <= w1 else np.empty(0, np.int64)
+    inside = np.sort(w0 + _relative_images(p, w0, w1))
     tail = off + np.searchsorted(inside, a, side="left")
     return counts + tail[:, None]
 

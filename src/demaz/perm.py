@@ -40,7 +40,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     InfiniteInversions,
@@ -139,28 +141,19 @@ class Permutation:
 
 
 def _tail_apply(period: int, lo: int, vals: Sequence[int], n: int) -> int:
-    hi = lo + len(vals) - 1
-    if lo <= n <= hi:
-        return vals[n - lo]
-    if n < lo:
-        r = (n - lo) % period
-        np_ = lo + r
-        m = (np_ - n) // period
-        return vals[np_ - lo] - period * m
-    r = (n - (hi - period + 1)) % period
-    np_ = hi - period + 1 + r
-    m = (n - np_) // period
-    return vals[np_ - lo] + period * m
+    i = n - lo
+    if 0 <= i < len(vals):
+        return vals[i]
+    # off the window alpha(n) - n repeats its value at the representative
+    # lo + j of n modulo the period at that end of the window
+    j = i % period if i < 0 else len(vals) - period + (i - len(vals)) % period
+    return vals[j] + i - j
 
 
 def _raw_diff_bound(period: int, lo: int, vals: Sequence[int]) -> int:
-    # one tail period on each side of the window catches the tail supremum,
-    # since |alpha(n) - n| is periodic along each tail
-    hi = lo + len(vals) - 1
-    return max(
-        abs(_tail_apply(period, lo, vals, n) - n)
-        for n in range(lo - period, hi + period + 1)
-    )
+    # alpha(n) - n along each tail repeats its value at the window
+    # representative of n (see _tail_apply), so the window holds the supremum
+    return max(abs(v - lo - i) for i, v in enumerate(vals))
 
 
 def _raw_chi(period: int, lo: int, vals: Sequence[int], bound: int) -> int:
@@ -298,13 +291,7 @@ def _canonical_fields(
     return d, lo_c, tuple(ev(n) for n in range(lo_c, hi_c + 1))
 
 
-def from_window(
-    period: int,
-    lo: int,
-    vals: Sequence[int],
-    *,
-    canonical: bool = True,
-) -> Permutation:
+def from_window(period: int, lo: int, vals: Sequence[int]) -> Permutation:
     """Build a Permutation from raw fields, validating and canonicalizing."""
     vals = tuple(int(v) for v in vals)
     bad = validate(period, lo, vals)
@@ -313,8 +300,7 @@ def from_window(
             "not a bijection: " + "; ".join(f"{v.kind}: {v.detail}" for v in bad),
             bad,
         )
-    if canonical:
-        period, lo, vals = _canonical_fields(period, lo, vals)
+    period, lo, vals = _canonical_fields(period, lo, vals)
     m = _raw_diff_bound(period, lo, vals)
     chi = _raw_chi(period, lo, vals, m)
     return Permutation(period, lo, vals, chi, m)
@@ -516,24 +502,89 @@ def delta_s(p: Permutation, a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 # inversions
 
+
 def has_inversion(p: Permutation, u: int, v: int) -> bool:
     return u < v and apply(p, u) > apply(p, v)
 
 
-def inversions_in(p: Permutation, u_lo: int, u_hi: int) -> list[tuple[int, int]]:
-    """All inversions (u, v) with u in [u_lo, u_hi].
+def _relative_images(p: Permutation, n0: int, n1: int) -> np.ndarray:
+    """alpha(n) - n0 for n in [n0, n1]; relative to n0 they stay within
+    diff_bound of the band, so int64 holds them wherever the band lies."""
+    return np.array([apply(p, n) - n0 for n in range(n0, n1 + 1)], dtype=np.int64)
 
-    Sound because an inversion satisfies v - u <= 2*diff_bound: beyond that,
-    alpha(v) >= v - M > u + M >= alpha(u).
+
+def _inversion_masks(
+    ps: Sequence[Permutation], u_lo: int, u_hi: int, span: int
+) -> Iterator[tuple[int, list[np.ndarray]]]:
+    """For d = 1..span, (d, masks): masks[j][i] holds when (u, u + d) with
+    u = u_lo + i <= u_hi is an inversion of ps[j].
+
+    Each operand is evaluated once on [u_lo, u_hi + span] and each mask
+    compares two shifted slices, so memory stays linear in the band.
     """
-    m = p.diff_bound
+    size = u_hi + span - u_lo + 1
+    if size > _max_window:
+        raise ResourceLimit(
+            f"inversion band of {size} entries exceeds cap {_max_window}"
+        )
+    rows = max(u_hi - u_lo + 1, 0)
+    images = [_relative_images(p, u_lo, u_hi + span) for p in ps]
+    for d in range(1, span + 1):
+        yield d, [a[:rows] > a[d : d + rows] for a in images]
+
+
+def first_inversion(
+    ps: Sequence[Permutation], m: int, combine: Callable[..., np.ndarray]
+) -> tuple[int, int] | None:
+    """The first (u, v), in (u, v) order, where ``combine`` of the operands'
+    inversion masks holds; None if there is none.
+
+    ``m`` bounds the diff_bound of some operand that inverts at every hit, so
+    hits have v - u <= 2m: beyond that alpha(v) >= v - m > u + m >= alpha(u).
+    Deep in the tails the masks repeat diagonally with the period, so u
+    sweeps the windows plus one common period and the span beyond them.
+    """
+    k = math.lcm(*(p.period for p in ps))
+    u_lo = min(p.lo for p in ps) - k - 2 * m - 2
+    u_hi = max(p.hi for p in ps) + k + 2
+    hits = [
+        (int(hit.argmax()), d)
+        for d, masks in _inversion_masks(ps, u_lo, u_hi, 2 * m)
+        if (hit := combine(*masks)).any()
+    ]
+    if not hits:
+        return None
+    i, d = min(hits)
+    return u_lo + i, u_lo + i + d
+
+
+def inversions_in(p: Permutation, u_lo: int, u_hi: int) -> list[tuple[int, int]]:
+    """All inversions (u, v) with u in [u_lo, u_hi], in (u, v) order."""
     out = []
-    for u in range(u_lo, u_hi + 1):
-        au = apply(p, u)
-        for v in range(u + 1, u + 2 * m + 1):
-            if au > apply(p, v):
-                out.append((u, v))
-    return out
+    for d, (mask,) in _inversion_masks((p,), u_lo, u_hi, 2 * p.diff_bound):
+        out.extend((u_lo + int(i), u_lo + int(i) + d) for i in np.flatnonzero(mask))
+    return sorted(out)
+
+
+def _inversions(seq: Sequence[int]) -> int:
+    """Pairs i < j with seq[i] > seq[j], counted with a Fenwick tree."""
+    if not seq:
+        return 0
+    base = min(seq) - 1
+    size = max(seq) - base
+    tree = [0] * (size + 1)
+    count = 0
+    for seen, x in enumerate(seq):
+        i = x - base
+        j, below = i, 0
+        while j:
+            below += tree[j]
+            j &= j - 1
+        count += seen - below
+        while i <= size:
+            tree[i] += 1
+            i += i & -i
+    return count
 
 
 def is_finitary(p: Permutation) -> bool:
@@ -548,18 +599,14 @@ def is_finitary(p: Permutation) -> bool:
 
 def inv_count(p: Permutation) -> int:
     """Exact number of inversions; raises for non-finitary permutations."""
-    if not is_finitary(p):
+    c = p if p.period == 1 else canonicalize(p)
+    if c.period != 1:
         raise InfiniteInversions(
-            f"{p!r} has period {canonicalize(p).period} > 1, "
-            "so its inversion set is infinite"
+            f"{p!r} has period {c.period} > 1, so its inversion set is infinite"
         )
-    c = canonicalize(p)
-    m = c.diff_bound
-    if m == 0:
-        return 0
-    # all inversions have v >= lo (left tail is increasing), u <= hi and
-    # v - u <= 2M, so u >= lo - 2M
-    return len(inversions_in(c, c.lo - 2 * m, c.hi))
+    # the window maps onto [lo - chi, hi - chi] and both tails are n - chi,
+    # so every inversion lies inside the window
+    return _inversions(c.vals)
 
 
 if __name__ == "__main__":

@@ -640,13 +640,11 @@ def read_slipface(text: str) -> Slipface:
     except ValueError:
         raise ParseError("bad box= field, want box=A..BxC..D", text, text.find("box"))
     rows = []
-    offset = len(lines[0])
     for ln in lines[1:]:
         try:
             rows.append([int(v) for v in ln.split()])
         except ValueError:
             raise ParseError("bad grid row", text, text.find(ln))
-        offset += len(ln)
     if len(rows) != a_hi - a_lo + 1:
         raise ParseError(
             f"expected {a_hi - a_lo + 1} rows, found {len(rows)}", text, 0

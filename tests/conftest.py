@@ -14,6 +14,7 @@ import pytest
 
 from demaz import (
     compose,
+    inverse,
     make_affine,
     make_from_one_line,
     make_gamma,
@@ -101,6 +102,46 @@ def zoo_perm(rng):
 def zoo_perm_with_shift(rng, chi):
     p = zoo_perm(rng)
     return compose(p, make_shift(chi - shift_of(p)))
+
+
+def sym(rng, d, off=1, chi=0):
+    """A random element of S_d on [off, off + d - 1], then shifted by chi."""
+    line = [v + off - 1 for v in rand_line(rng, d)]
+    p = make_from_one_line(line, off)
+    return compose(make_shift(chi), p) if chi else p
+
+
+def inversion_pairs(rng):
+    """Operand pairs that stress inversion-set scans: zoo members, random S_d
+    up to d = 40, periods 5 and 7 (lcm 35), unequal two-block shuffles, and
+    windows near lo = +-10^4 with |chi| up to 50, each paired only with
+    operands near the same window, plus partners that make pairs reduced
+    or weak-below."""
+    near = [zoo_perm(rng) for _ in range(24)]
+    near += [sym(rng, d, rng.randint(-3, 3)) for d in (1, 2, 7, 19, 40)]
+    near += [star(rand_affine(rng, k), zoo_atom(rng)) for k in (5, 7, 5, 7)]
+    for m, n in ((0, 3), (4, 1), (2, 7), (6, 0)):
+        near += [make_gamma(m, n), inverse(make_gamma(m, n))]
+    rng.shuffle(near)
+
+    def far(off, chi):
+        # an identity line would leave a pure shift, whose window is at 0
+        while True:
+            p = sym(rng, rng.randint(3, 12), off + rng.randint(-5, 5), chi)
+            if abs(p.lo - off) < 20:
+                return p
+
+    groups = [near]
+    for off in (10**4, -(10**4) - 7):
+        chis = (0, rng.randint(-50, 50), rng.randint(-50, 50), 50, -50)
+        groups.append([far(off, chi) for chi in chis])
+    pairs = []
+    for g in groups:
+        pairs += zip(g, g[1:] + g[:1])
+        pairs += zip(g, g[2:])
+        pairs += [(p, star(q, p)) for p, q in zip(g[::3], g[1::3])]
+        pairs += [(p, p) for p in g[::5]]
+    return pairs
 
 
 def rand_sigma_fin(rng):

@@ -85,6 +85,20 @@ def test_compare_json(capsys):
     assert rec["result"] is True
 
 
+@pytest.mark.parametrize(
+    "rel, a, b, code, out",
+    [
+        ("wleft", "sigma(1)", "sym(1; 3 2 1)", 0, "true\n"),
+        ("wleft", "sym(1; 3 2 1)", "sigma(1)", 1, "false witness=(1,3)\n"),
+        ("wright", "sigma(1)", "sym(1; 3 2 1)", 0, "true\n"),
+        ("wright", "sigma(2)", "sym(1; 2 3 1)", 1, "false witness=(2,3)\n"),
+        ("wright", "aff(3; 2 0 1)", "gamma(1,2)", 1, "false witness=(-11,-10)\n"),
+    ],
+)
+def test_compare_weak_orders(capsys, rel, a, b, code, out):
+    assert run(capsys, "compare", rel, a, b) == (code, out, "")
+
+
 def test_ess_listing(capsys):
     code, out, _ = run(capsys, "ess", "gamma(3,5)")
     assert code == 0

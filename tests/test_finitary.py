@@ -12,16 +12,18 @@ import random
 
 import pytest
 
-from conftest import rand_line, zoo_perm
+from conftest import sym, zoo_perm
 
 from demaz import (
     bruhat_leq_witness,
     compose,
+    inv_count,
     inverse,
-    make_from_one_line,
+    is_reduced_pair,
     make_gamma,
     make_shift,
     make_sigma_set,
+    reduce,
     sf_from_perm,
     sf_leq_ess,
     sf_star,
@@ -33,6 +35,7 @@ from demaz import (
     tll,
     tll_sigma,
     tlr,
+    weak_left_leq,
 )
 from demaz.oracle import (
     oracle_greedy_max,
@@ -59,13 +62,6 @@ def assert_agree(p, q):
         assert fast(p, q) == grid(kind, p, q), (kind, p, q)
     assert bruhat_leq_witness(p, q) == grid_leq(p, q), (p, q)
     assert bruhat_leq_witness(q, p) == grid_leq(q, p), (q, p)
-
-
-def sym(rng, d, off=1, chi=0):
-    """A random element of S_d on [off, off + d - 1], then shifted by chi."""
-    line = [v + off - 1 for v in rand_line(rng, d)]
-    p = make_from_one_line(line, off)
-    return compose(make_shift(chi), p) if chi else p
 
 
 def reduced_word(q):
@@ -173,6 +169,12 @@ def test_d1000_smoke():
         r = fast(p, q)
         assert r.period == 1 and r.chi == 0
     bruhat_leq_witness(p, q)
+    g = star(p, q)
+    w = reduce(p, q, g)
+    assert is_reduced_pair(w.alpha1, w.beta1)
+    # g = alpha1 beta1 is reduced: lengths add, Inv(beta1) lies in Inv(g)
+    assert inv_count(g) == inv_count(w.alpha1) + inv_count(w.beta1)
+    assert weak_left_leq(w.beta1, g) and not weak_left_leq(g, w.beta1)
 
 
 def test_rank_tables_match_eval_s(rng):

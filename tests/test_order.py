@@ -1,10 +1,19 @@
 """Bruhat and weak orders: engine comparators against brute force."""
 
 import itertools
+import math
 
-from conftest import line_of, sd_lines, sd_perms, zoo_perm, zoo_perm_with_shift
+from conftest import (
+    inversion_pairs,
+    line_of,
+    sd_lines,
+    sd_perms,
+    zoo_perm,
+    zoo_perm_with_shift,
+)
 
 from demaz import (
+    apply,
     bruhat_leq,
     bruhat_leq_witness,
     compose,
@@ -12,6 +21,7 @@ from demaz import (
     has_inversion,
     identity,
     inverse,
+    is_reduced_pair_witness,
     leq_chi,
     make_shift,
     shift_of,
@@ -19,6 +29,7 @@ from demaz import (
     weak_left_leq,
     weak_left_leq_witness,
     weak_right_leq,
+    weak_right_leq_witness,
 )
 from demaz.oracle import sd_leq
 
@@ -113,3 +124,48 @@ def test_star_dominates_both_factors_up_to_shift(rng):
         p = zoo_perm(rng)
         q = zoo_perm_with_shift(rng, abs(shift_of(zoo_perm(rng))))
         assert bruhat_leq(p, star(p, q))
+
+
+def reduced_pair_by_loops(p, q):
+    """The per-pair scan is_reduced_pair_witness replaced; the reference."""
+    qi = inverse(q)
+    k = math.lcm(p.period, qi.period)
+    m = min(p.diff_bound, qi.diff_bound)
+    if m == 0:
+        return True, None
+    span = 2 * m
+    u_lo = min(p.lo, qi.lo) - k - span - 2
+    u_hi = max(p.hi, qi.hi) + k + 2
+    for u in range(u_lo, u_hi + 1):
+        for v in range(u + 1, u + span + 1):
+            if apply(p, u) > apply(p, v) and apply(qi, u) > apply(qi, v):
+                return False, (u, v)
+    return True, None
+
+
+def weak_left_by_loops(p, q):
+    """The per-pair scan weak_left_leq_witness replaced; the reference."""
+    k = math.lcm(p.period, q.period)
+    m = max(p.diff_bound, q.diff_bound, 1)
+    u_lo = min(p.lo, q.lo) - k - 2 * m - 2
+    u_hi = max(p.hi, q.hi) + k + 2
+    for u in range(u_lo, u_hi + 1):
+        for v in range(u + 1, u + 2 * m + 1):
+            if has_inversion(p, u, v) and not has_inversion(q, u, v):
+                return False, (u, v)
+    return True, None
+
+
+def test_inversion_scan_matches_the_per_pair_loops(rng):
+    verdicts = set()
+    for p, q in inversion_pairs(rng):
+        got = is_reduced_pair_witness(p, q)
+        assert got == reduced_pair_by_loops(p, q), (p, q)
+        verdicts.add(("reduced", got[0]))
+        got = weak_left_leq_witness(p, q)
+        assert got == weak_left_by_loops(p, q), (p, q)
+        verdicts.add(("left", got[0]))
+        got = weak_right_leq_witness(p, q)
+        assert got == weak_left_by_loops(inverse(p), inverse(q)), (p, q)
+        verdicts.add(("right", got[0]))
+    assert len(verdicts) == 6

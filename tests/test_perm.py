@@ -2,13 +2,14 @@
 
 import pytest
 
-from conftest import line_of, rand_affine, sd_lines, zoo_perm
+from conftest import inversion_pairs, line_of, rand_affine, sd_lines, zoo_perm
 
 from demaz import (
     InfiniteInversions,
     InvalidGeneratorSet,
     InvalidPermutation,
     ResidueClass,
+    ResourceLimit,
     apply,
     canonicalize,
     compose,
@@ -16,6 +17,7 @@ from demaz import (
     diff_bound,
     eval_s,
     from_window,
+    get_max_window,
     has_inversion,
     identity,
     inv_count,
@@ -27,6 +29,7 @@ from demaz import (
     make_gamma,
     make_shift,
     make_sigma_set,
+    set_max_window,
     shift_of,
     star,
     validate,
@@ -274,3 +277,41 @@ def test_inverse_matches_the_preimage_scan(rng):
             for a in range(lo_i, p.hi + m + k + 1)
         ]
         assert inverse(p) == from_window(k, lo_i, want)
+
+
+def test_inversion_scan_matches_the_per_pair_loops(rng):
+    operands = {p for pair in inversion_pairs(rng) for p in pair}
+    finitary = 0
+    for p in operands:
+        m = p.diff_bound
+        for u_lo, u_hi in ((p.lo - 2 * m - 3, p.hi + 2), (p.lo - 40, p.lo - 33)):
+            # the per-pair scan inversions_in replaced; the reference
+            want = [
+                (u, v)
+                for u in range(u_lo, u_hi + 1)
+                for v in range(u + 1, u + 2 * m + 1)
+                if apply(p, u) > apply(p, v)
+            ]
+            assert inversions_in(p, u_lo, u_hi) == want, (p, u_lo, u_hi)
+        if not is_finitary(p):
+            with pytest.raises(InfiniteInversions):
+                inv_count(p)
+            continue
+        brute = sum(
+            apply(p, u) > apply(p, v)
+            for u in range(p.lo - 2 * m - 2, p.hi + 3)
+            for v in range(u + 1, u + 2 * m + 3)
+        )
+        assert inv_count(p) == brute, p
+        finitary += 1
+    assert finitary > 20
+
+
+def test_inversion_band_is_capped_before_allocation():
+    old = get_max_window()
+    try:
+        set_max_window(50)
+        with pytest.raises(ResourceLimit, match="inversion band of 64 entries"):
+            inversions_in(make_shift(30), 0, 3)
+    finally:
+        set_max_window(old)
