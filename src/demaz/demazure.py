@@ -2,13 +2,15 @@
 
 star(a, b) is the unique permutation whose slipface is the min-plus product
 of the factors' slipfaces; tll and tlr are the Bruhat-minimal solutions of
-the corresponding one-sided inequalities.  When both operands have period 1
-all three run on the finitary engine (``finitary``), which folds a reduced
-word on the windows; any other pair goes through the slipface grid engine
-and reconstruction, which ``grid_product`` also exposes for period 1 as the
-reference.  Generator inputs (disjoint adjacent transpositions) additionally
-have direct paths, ``star_sigma`` and ``tll_sigma``, which are kept as an
-independent cross-check.
+the corresponding one-sided inequalities.  ``product_path`` picks the engine
+from the operands alone: when both have period 1 all three fold a reduced
+word on the windows (``finitary``); when both are globally periodic they fold
+an affine reduced word on one period of the lcm of their periods; any other
+pair goes through the slipface grid engine and reconstruction, which
+``grid_product`` also exposes for every pair as the reference.  Generator
+inputs (disjoint adjacent transpositions) additionally have direct paths,
+``star_sigma`` and ``tll_sigma``, which are kept as an independent
+cross-check.
 
 A pair (a, b) is reduced when Inv(a) and Inv(b^-1) are disjoint, exactly
 when star(a, b) equals compose(a, b); the test is the inversion scan of
@@ -60,17 +62,35 @@ __all__ = [
 
 _GRID = {"star": sf_star, "tll": sf_tll, "tlr": sf_tlr}
 _FOLD = {"star": finitary.star, "tll": finitary.tll, "tlr": finitary.tlr}
+_AFFINE = {
+    "star": finitary.affine_star,
+    "tll": finitary.affine_tll,
+    "tlr": finitary.affine_tlr,
+}
 
 
 def grid_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
     """star, tll or tlr (by ``kind``) through the slipface grid engine, for
-    any periods: the reference the finitary engine is checked against."""
+    any periods: the reference the word folds are checked against."""
     return sf_to_perm(_GRID[kind](sf_from_perm(p), sf_from_perm(q)))
 
 
-def _product(kind: str, p: Permutation, q: Permutation) -> Permutation:
+def product_path(p: Permutation, q: Permutation) -> str:
+    """The engine that computes products of p and q: "finitary" when both
+    have period 1, "affine" when both are globally periodic, else "grid"."""
     if p.period == 1 and q.period == 1:
+        return "finitary"
+    if finitary.is_affine(p) and finitary.is_affine(q):
+        return "affine"
+    return "grid"
+
+
+def _product(kind: str, p: Permutation, q: Permutation) -> Permutation:
+    path = product_path(p, q)
+    if path == "finitary":
         r = _FOLD[kind](p, q)
+    elif path == "affine":
+        r = _AFFINE[kind](p, q)
     else:
         r = grid_product(kind, p, q)
     if r.chi != p.chi + q.chi:

@@ -156,14 +156,13 @@ def _raw_diff_bound(period: int, lo: int, vals: Sequence[int]) -> int:
     return max(abs(v - lo - i) for i, v in enumerate(vals))
 
 
-def _raw_chi(period: int, lo: int, vals: Sequence[int], bound: int) -> int:
-    pos = sum(
-        1 for n in range(0, bound + 1) if _tail_apply(period, lo, vals, n) < 0
-    )
-    neg = sum(
-        1 for n in range(-bound, 0) if _tail_apply(period, lo, vals, n) >= 0
-    )
-    return pos - neg
+def _raw_chi(period: int, lo: int, vals: Sequence[int]) -> int:
+    # the net flow of integers across a cut is chi wherever the cut lies;
+    # averaged over one period of cuts deep in the right tail it is minus
+    # the mean displacement alpha(n) - n over the last period of the window
+    # (that sum is a multiple of the period)
+    n = len(vals)
+    return -(sum(vals[i] - lo - i for i in range(n - period, n)) // period)
 
 
 def _preimages(
@@ -302,7 +301,7 @@ def from_window(period: int, lo: int, vals: Sequence[int]) -> Permutation:
         )
     period, lo, vals = _canonical_fields(period, lo, vals)
     m = _raw_diff_bound(period, lo, vals)
-    chi = _raw_chi(period, lo, vals, m)
+    chi = _raw_chi(period, lo, vals)
     return Permutation(period, lo, vals, chi, m)
 
 

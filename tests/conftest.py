@@ -74,10 +74,10 @@ def rand_line(rng, d):
     return tuple(line)
 
 
-def rand_affine(rng, k):
+def rand_affine(rng, k, spread=2):
     res = list(range(k))
     rng.shuffle(res)
-    vals = [r + k * rng.randint(-2, 2) for r in res]
+    vals = [r + k * rng.randint(-spread, spread) for r in res]
     return make_affine(vals, k)
 
 

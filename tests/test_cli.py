@@ -238,3 +238,44 @@ def test_extended_checks_rerun_finitary_paths_on_the_grid(capsys, monkeypatch):
     code, _, err = run(capsys, ext, "compare", "leq", "shift(1)", "shift(0)")
     assert code == 3
     assert "extended check failed: finitary comparison" in err
+
+
+# shift(-15) composed with aff(7; 5 -1 9 3 -3 14 8): n -> alpha(n) + 15
+A3, A5 = "aff(3; 2 -3 4)", "aff(5; 3 -1 7 0 6)"
+S7 = "ep(k=7, lo=0; 20 14 24 18 12 29 23)"
+
+
+@pytest.mark.parametrize(
+    "verb, a, b, out",
+    [
+        ("star", A3, A5, "ep(k=15, lo=0; 5 1 8 -3 7 10 0 14 3 13 11 9 19 6 17)"),
+        ("tll", A3, A5, "ep(k=15, lo=0; 2 4 0 5 3 7 8 6 10 11 9 13 12 14 16)"),
+        ("tlr", A3, A5, "ep(k=15, lo=0; 3 1 4 2 6 8 5 9 7 12 13 10 15 11 14)"),
+        ("star", S7, A5, "ep(k=35, lo=0; 18 16 29 14 27 23 12 36 21 31 30 25 38 19"
+         " 34 32 28 43 26 41 45 37 50 35 44 48 39 52 33 46 57 42 59 40 55)"),
+        ("tll", S7, A5, "ep(k=35, lo=0; 18 20 12 24 23 21 27 19 29 25 30 31 28 36"
+         " 32 26 34 35 38 37 41 43 33 45 39 44 48 40 50 42 46 52 49 57 51)"),
+        ("tlr", S7, A5, "ep(k=35, lo=0; 18 19 20 21 22 23 24 26 25 27 28 29 30 31"
+         " 32 33 34 35 36 37 39 38 40 41 42 44 43 46 45 47 48 49 50 51 52)"),
+        ("star", A5, S7, "ep(k=35, lo=0; 23 14 26 15 10 32 21 31 20 33 28 19 38 29"
+         " 37 25 42 36 24 47 35 43 34 48 41 30 53 46 52 40 57 44 39 62 51)"),
+        ("tll", A5, S7, "ep(k=35, lo=0; 18 19 20 21 22 23 24 25 26 27 28 29 30 31"
+         " 32 33 34 35 37 36 38 39 40 41 42 43 44 46 45 47 48 49 51 50 52)"),
+        ("tlr", A5, S7, "ep(k=35, lo=0; 19 16 24 21 17 29 25 26 23 30 27 22 34 31"
+         " 35 32 36 33 28 40 39 41 38 44 42 37 49 45 46 47 50 48 43 55 53)"),
+    ],
+)
+def test_affine_product_goldens(capsys, verb, a, b, out):
+    # bytes recorded from the grid engine, which computed these pairs before
+    # the affine fold did
+    assert run(capsys, verb, a, b) == (0, out + "\n", "")
+
+
+def test_extended_checks_rerun_affine_paths_on_the_grid(capsys, monkeypatch):
+    ext = "--extended-checks"
+    for verb in ("star", "tll", "tlr"):
+        assert run(capsys, ext, verb, S7, "sigma_mod(1,4)")[0] == 0
+    monkeypatch.setitem(demazure._AFFINE, "tll", finitary.affine_star)
+    code, out, err = run(capsys, ext, "tll", A3, A5)
+    assert (code, out) == (3, "")
+    assert "extended check failed: affine tll differs from the grid engine" in err

@@ -1,4 +1,4 @@
-"""The finitary engine against the grid engine and the brute-force oracles.
+"""The word-fold engine against the grid engine and the brute-force oracles.
 
 Period-1 products and Bruhat comparisons have two implementations: the word
 fold and window rank tables of demaz.finitary, which star/tll/tlr and
@@ -6,20 +6,26 @@ bruhat_leq_witness use, and the slipface grid engine, which serves every
 period.  Both must give the same permutations, verdicts and witness cells.
 The inputs stress the shift factoring and the window arithmetic: large
 shifts on either side, windows far from 0, unequal two-block shuffles.
+Products of globally periodic operands have the affine fold as their second
+implementation, tested the same way on coprime periods and large shifts.
 """
 
 import random
 
 import pytest
 
-from conftest import sym, zoo_perm
+from conftest import rand_affine, sym, zoo_perm
 
 from demaz import (
+    InternalInconsistency,
+    ResidueClass,
+    ResourceLimit,
     bruhat_leq_witness,
     compose,
     inv_count,
     inverse,
     is_reduced_pair,
+    make_affine,
     make_gamma,
     make_shift,
     make_sigma_set,
@@ -37,6 +43,8 @@ from demaz import (
     tlr,
     weak_left_leq,
 )
+from demaz import finitary, perm
+from demaz.demazure import product_path
 from demaz.oracle import (
     oracle_greedy_max,
     oracle_star_sd,
@@ -211,3 +219,117 @@ def test_size_caps_apply_before_allocation(rng):
     wide = sym(rng, 7000)
     with pytest.raises(ResourceLimit, match="rank table"):
         bruhat_leq_witness(wide, wide)
+
+
+# ---------------------------------------------------------------------------
+# affine fold: globally periodic operands
+
+
+def assert_affine_agree(p, q):
+    assert product_path(p, q) == "affine", (p, q)
+    for kind, fast in FAST.items():
+        assert fast(p, q) == grid(kind, p, q), (kind, p, q)
+
+
+def test_random_affines_agree_with_grid(rng):
+    for _ in range(30):
+        p = rand_affine(rng, rng.randint(2, 7), rng.randint(0, 3))
+        q = rand_affine(rng, rng.randint(2, 7), rng.randint(0, 3))
+        assert_affine_agree(p, q)
+
+
+def test_coprime_and_transposition_family_pairs(rng):
+    for _ in range(2):
+        assert_affine_agree(rand_affine(rng, 7, 1), rand_affine(rng, 5, 1))
+    for r in range(4):
+        p, sig = rand_affine(rng, 7, 1), ResidueClass(r, 4)
+        q = make_sigma_set(sig)
+        assert_affine_agree(p, q)
+        # the transposition paths build neither grid nor word
+        assert star(p, q) == star_sigma(p, sig)
+        assert tll(p, q) == tll_sigma(p, sig)
+
+
+@pytest.mark.parametrize("chi", [50, -50, 17, -33])
+def test_shifts_on_either_side(rng, chi):
+    p = rand_affine(rng, rng.randint(2, 4), 2)
+    q = rand_affine(rng, rng.randint(2, 4), 2)
+    assert_affine_agree(compose(make_shift(chi), p), q)
+    assert_affine_agree(compose(p, make_shift(-chi)), compose(q, make_shift(chi)))
+
+
+def test_pure_shifts_against_affines(rng):
+    for chi in (0, 3, -7, 50):
+        p = rand_affine(rng, rng.randint(2, 6), 2)
+        assert_affine_agree(make_shift(chi), p)
+        assert_affine_agree(p, make_shift(chi))
+
+
+def test_affine_length_is_the_inversion_count(rng):
+    for _ in range(40):
+        k = rng.randint(1, 7)
+        p = compose(make_shift(rng.randint(-9, 9)), rand_affine(rng, k, 3))
+        vals = [p(n) for n in range(k)]
+        m = p.diff_bound
+        brute = sum(
+            p(i) > p(n) for i in range(k) for n in range(i + 1, i + 2 * m + 2)
+        )
+        assert finitary._affine_length(vals) == brute, p
+
+
+def test_affine_certificates_fire(rng, monkeypatch):
+    p = rand_affine(rng, 5, 2)
+    q = inverse(compose(p, make_shift(2)))
+    word, fold = finitary._affine_word, finitary._fold_word
+    monkeypatch.setattr(finitary, "_affine_word", lambda u, n: word(u, n) + [0])
+    for fast in FAST.values():
+        with pytest.raises(InternalInconsistency, match="letters, the operand"):
+            fast(p, q)
+    monkeypatch.setattr(finitary, "_affine_word", word)
+    # star keeping descents and tll keeping ascents
+    wrong = lambda arr, w, ascents: fold(arr, w, not ascents)
+    monkeypatch.setattr(finitary, "_fold_word", wrong)
+    for fast in FAST.values():
+        with pytest.raises(InternalInconsistency, match="the length went"):
+            fast(p, q)
+
+
+def test_affine_products_build_no_grid(rng):
+    p = compose(make_shift(-15), rand_affine(rng, 7, 1))
+    q = rand_affine(rng, 5, 1)
+    before = sf_from_perm.cache_info()
+    for fast in FAST.values():
+        fast(p, q)
+    after = sf_from_perm.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_affine_size_caps_apply_before_folding(rng, monkeypatch):
+    def no_fold(*args):
+        raise AssertionError("folded past the size cap")
+
+    monkeypatch.setattr(finitary, "_affine_word", no_fold)
+    p, q = rand_affine(rng, 89, 1), rand_affine(rng, 97, 1)
+    for fast in FAST.values():
+        with pytest.raises(ResourceLimit, match="affine fold of period 8633"):
+            fast(p, q)
+    p, q = rand_affine(rng, 7, 1), rand_affine(rng, 5, 1)
+    monkeypatch.setattr(perm, "_max_window", 30)
+    with pytest.raises(ResourceLimit, match="affine period 35 exceeds window cap"):
+        star(p, q)
+    monkeypatch.setattr(perm, "_max_window", perm.DEFAULT_MAX_WINDOW)
+    # k^2 fits the cap, the word's letter bound 2km (m = 30) does not
+    monkeypatch.setattr(finitary, "_GRID_CELL_CAP", 35 * 35)
+    wide = make_affine([30, 1, 2, 3, -26], 5)
+    with pytest.raises(ResourceLimit, match="period 35 and diff_bound 30"):
+        tll(p, wide)
+
+
+def test_pairs_with_a_non_affine_operand_take_the_grid(rng):
+    a = rand_affine(rng, 3, 1)
+    mixed = star(a, sym(rng, 4))  # periodic tails that differ: not affine
+    assert not finitary.is_affine(mixed)
+    for p, q in ((mixed, a), (a, mixed), (sym(rng, 4), a), (a, make_gamma(2, 1))):
+        assert product_path(p, q) == "grid", (p, q)
+    assert product_path(make_shift(3), a) == "affine"
+    assert product_path(make_shift(3), sym(rng, 4)) == "finitary"

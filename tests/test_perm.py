@@ -35,6 +35,7 @@ from demaz import (
     validate,
 )
 from demaz.oracle import oracle_eval_s
+from demaz.perm import _raw_chi, _raw_diff_bound, _tail_apply
 
 
 def test_identity_fixes_everything():
@@ -315,3 +316,30 @@ def test_inversion_band_is_capped_before_allocation():
             inversions_in(make_shift(30), 0, 3)
     finally:
         set_max_window(old)
+
+
+def _chi_by_scan(k, lo, vals, bound):
+    # the count _raw_chi replaced, kept as the reference: integers carried
+    # from [0, bound] below 0, minus those carried from [-bound, -1] above
+    pos = sum(1 for n in range(0, bound + 1) if _tail_apply(k, lo, vals, n) < 0)
+    neg = sum(1 for n in range(-bound, 0) if _tail_apply(k, lo, vals, n) >= 0)
+    return pos - neg
+
+
+def test_chi_matches_the_crossing_count(rng):
+    windows = 0
+    for _ in range(150):
+        p = zoo_perm(rng)
+        if rng.random() < 0.4:
+            p = compose(p, zoo_perm(rng))
+        if rng.random() < 0.3:
+            p = compose(make_shift(rng.randint(-50, 50)), p)
+        k = p.period
+        for pad_lo, pad_hi in ((0, 0), (rng.randint(0, 3), rng.randint(0, 3))):
+            lo = p.lo - pad_lo * k
+            vals = [apply(p, n) for n in range(lo, p.hi + pad_hi * k + 1)]
+            bound = _raw_diff_bound(k, lo, vals)
+            assert _raw_chi(k, lo, vals) == _chi_by_scan(k, lo, vals, bound), p
+            windows += 1
+    assert windows == 300
+    assert shift_of(make_shift(10**5)) == 10**5
