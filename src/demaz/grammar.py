@@ -10,11 +10,13 @@ The accepted forms are
     gamma(<m>,<n>)                  order-preserving two-block shuffle
     ep(k=<k>, lo=<lo>; v_lo ... v_hi)   raw window form
 
-Integers are decimal with an optional sign.  ``format_perm`` always emits the
-canonical ep(...) form, and ``parse_perm(format_perm(p)) == p``.
+Integers are ASCII decimal (digits 0-9) with an optional sign.  ``format_perm``
+always emits the canonical ep(...) form, and ``parse_perm(format_perm(p)) == p``.
 """
 
 from __future__ import annotations
+
+import re
 
 from .errors import ParseError
 from .perm import (
@@ -29,6 +31,11 @@ from .perm import (
 )
 
 __all__ = ["parse_perm", "format_perm"]
+
+# integers are ASCII decimal: str.isdigit and int() also accept other scripts
+_INT = re.compile(r"[+-]?[0-9]+")
+# a whitespace-separated run of them; a sign starts a new integer
+_INT_RUN = re.compile(r"[+-]?[0-9]+(?:\s*[+-]?[0-9]+)*")
 
 
 class _Scanner:
@@ -66,27 +73,22 @@ class _Scanner:
 
     def integer(self) -> int:
         self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == digits:
-            self.pos = start
+        token = _INT.match(self.text, self.pos)
+        if token is None:
             raise self.error("expected an integer")
-        return int(self.text[start : self.pos])
+        self.pos = token.end()
+        return int(token.group())
 
     def int_list_ws(self) -> list[int]:
-        out = [self.integer()]
-        while True:
+        self.skip_ws()
+        run = _INT_RUN.match(self.text, self.pos)
+        if run is not None:
+            self.pos = run.end()
             self.skip_ws()
-            if self.pos < len(self.text) and (
-                self.text[self.pos].isdigit() or self.text[self.pos] in "+-"
-            ):
-                out.append(self.integer())
-            else:
-                return out
+        # no integer here, or the run stopped at a sign with no digits after it
+        if run is None or self.text.startswith(("+", "-"), self.pos):
+            raise self.error("expected an integer")
+        return [int(t) for t in _INT.findall(run.group())]
 
     def int_list_comma(self) -> list[int]:
         self.skip_ws()

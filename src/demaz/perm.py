@@ -39,6 +39,7 @@ equality.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -46,6 +47,7 @@ import numpy as np
 
 from .errors import (
     InfiniteInversions,
+    InternalInconsistency,
     InvalidGeneratorSet,
     InvalidPermutation,
     ResourceLimit,
@@ -153,7 +155,7 @@ def _tail_apply(period: int, lo: int, vals: Sequence[int], n: int) -> int:
 def _raw_diff_bound(period: int, lo: int, vals: Sequence[int]) -> int:
     # alpha(n) - n along each tail repeats its value at the window
     # representative of n (see _tail_apply), so the window holds the supremum
-    return max(abs(v - lo - i) for i, v in enumerate(vals))
+    return max(map(abs, map(operator.sub, vals, range(lo, lo + len(vals)))))
 
 
 def _raw_chi(period: int, lo: int, vals: Sequence[int]) -> int:
@@ -165,20 +167,6 @@ def _raw_chi(period: int, lo: int, vals: Sequence[int]) -> int:
     return -(sum(vals[i] - lo - i for i in range(n - period, n)) // period)
 
 
-def _preimages(
-    period: int, lo: int, vals: Sequence[int], n0: int, n1: int
-) -> dict[int, list[int]]:
-    """Map each value alpha(n), n in [n0, n1], to its preimages there, ascending.
-
-    Every preimage n of a target a satisfies |n - a| <= diff_bound, so a band
-    reaching diff_bound beyond the targets holds all of their preimages.
-    """
-    pre: dict[int, list[int]] = {}
-    for n in range(n0, n1 + 1):
-        pre.setdefault(_tail_apply(period, lo, vals, n), []).append(n)
-    return pre
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -186,19 +174,21 @@ def _preimages(
 def validate(period: int, lo: int, vals: Sequence[int]) -> list[Violation]:
     """Check that raw window fields describe a bijection of the integers.
 
-    Returns a list of violations (empty means valid).  Three checks suffice
-    for this representation class:
+    Returns a list of violations (empty means valid).  First the first and
+    last ``period`` window values must each form a complete residue system
+    modulo ``period`` (tail injectivity and coverage).  Then the verdict is
+    read class by class: with ``L_r`` and ``R_r`` the first and last of those
+    values in class r, the left tail hits class r exactly below ``L_r`` and
+    the right tail exactly above ``R_r``, so the map is a bijection exactly
+    when the window's values are distinct, each lies in ``[L_r, R_r]`` of its
+    class, and their number is ``sum_r ((R_r - L_r) / period + 1)``: one pass
+    over the window.
 
-    * the first and last ``period`` window values each form a complete
-      residue system modulo ``period`` (tail injectivity and coverage);
-    * the evaluated map is injective on a guard band around the window
-      (any colliding pair lies within ``2*diff_bound`` of each other, so a
-      band of width ``2*diff_bound + 2*period`` traps all collisions that
-      are not pure-tail, and pure-tail collisions are excluded by the
-      residue check);
-    * every target in a guard band has exactly one preimage within
-      ``diff_bound`` of it (surjectivity near the window; tail targets are
-      covered by the residue systems).
+    Only a window that fails this count is scanned on a guard band, to list
+    its violations: colliding images (any colliding pair lies within
+    ``2*diff_bound`` of each other, and pure-tail collisions are excluded by
+    the residue check) and targets near the window with no or several
+    preimages within ``diff_bound`` of them.
     """
     out: list[Violation] = []
     k = period
@@ -215,7 +205,6 @@ def validate(period: int, lo: int, vals: Sequence[int]) -> list[Violation]:
         raise ResourceLimit(
             f"window of {len(vals)} entries exceeds cap {_max_window}"
         )
-    hi = lo + len(vals) - 1
 
     left = [v % k for v in vals[:k]]
     if len(set(left)) != k:
@@ -229,10 +218,41 @@ def validate(period: int, lo: int, vals: Sequence[int]) -> list[Violation]:
         )
     if out:
         return out
+    if _covers_each_class_once(k, vals):
+        return []
+    out = _band_violations(k, lo, vals)
+    if not out:
+        raise InternalInconsistency(
+            f"ep(k={k}, lo={lo}; {' '.join(map(str, vals))}) fails the "
+            "residue-class count, but the band scan finds no violation"
+        )
+    return out
 
+
+def _covers_each_class_once(k: int, vals: Sequence[int]) -> bool:
+    """The residue-class verdict of ``validate`` (both residue systems hold)."""
+    first = {v % k: v for v in vals[:k]}
+    last = {v % k: v for v in vals[-k:]}
+    if sum((last[r] - first[r]) // k for r in first) + k != len(vals):
+        return False
+    if k == 1:  # one class, spanning [vals[0], vals[-1]]
+        inside = min(vals) == vals[0] and max(vals) == vals[-1]
+    else:
+        inside = all(first[v % k] <= v <= last[v % k] for v in vals)
+    return inside and len(set(vals)) == len(vals)
+
+
+def _band_violations(k: int, lo: int, vals: Sequence[int]) -> list[Violation]:
+    """List the collisions and the missing or repeated preimages on the
+    guard band of an invalid window, in band order."""
+    out = []
+    hi = lo + len(vals) - 1
     m = _raw_diff_bound(k, lo, vals)
-
-    pre = _preimages(k, lo, vals, lo - 2 * m - 2 * k, hi + 2 * m + 2 * k)
+    # every preimage n of a target a satisfies |n - a| <= diff_bound, so a
+    # band reaching diff_bound beyond the targets holds all of their preimages
+    pre: dict[int, list[int]] = {}
+    for n in range(lo - 2 * m - 2 * k, hi + 2 * m + 2 * k + 1):
+        pre.setdefault(_tail_apply(k, lo, vals, n), []).append(n)
     collisions = sorted(
         (hits[i], hits[i - 1], v)
         for v, hits in pre.items()
@@ -264,35 +284,38 @@ def _canonical_fields(
     period: int, lo: int, vals: Sequence[int]
 ) -> tuple[int, int, tuple[int, ...]]:
     k = period
+    pad = 2 * k + 2
     hi = lo + len(vals) - 1
-    ev = lambda n: _tail_apply(k, lo, vals, n)
+    # a[i] = alpha(lo - pad + i) on [lo - pad, hi + pad], which holds every
+    # point the divisor test and the deviation scan read
+    a = [_tail_apply(k, lo, vals, n) for n in range(lo - pad, lo)]
+    a += vals
+    a += [_tail_apply(k, lo, vals, n) for n in range(hi + 1, hi + pad + 1)]
+    first, last = pad, pad + len(vals) - 1
 
-    d = k
-    for cand in _divisors(k):
-        right_ok = all(
-            ev(n + cand) == ev(n) + cand for n in range(hi - k + 1, hi + 1)
-        )
-        left_ok = all(ev(n - cand) == ev(n) - cand for n in range(lo, lo + k))
-        if right_ok and left_ok:
-            d = cand
-            break
+    d = next(
+        (
+            c
+            for c in _divisors(k)
+            if all(a[i + c] == a[i] + c for i in range(last - k + 1, last + 1))
+            and all(a[i - c] == a[i] - c for i in range(first, first + k))
+        ),
+        k,
+    )
 
-    # deviations from pure d-periodicity; they pin the minimal window
-    dev = [
-        n
-        for n in range(lo - d - k - 1, hi + k + 2)
-        if ev(n + d) != ev(n) + d
-    ]
-    if not dev:
-        return d, 0, tuple(ev(i) for i in range(d))
-    lo_c = min(dev)
-    hi_c = max(dev) + d
-    return d, lo_c, tuple(ev(n) for n in range(lo_c, hi_c + 1))
+    # deviations from pure d-periodicity; the outermost two pin the minimal
+    # window
+    span = range(first - d - k - 1, last + k + 2)
+    low = next((i for i in span if a[i + d] != a[i] + d), None)
+    if low is None:
+        return d, 0, tuple(_tail_apply(k, lo, vals, n) for n in range(d))
+    high = next(i for i in reversed(span) if a[i + d] != a[i] + d)
+    return d, lo - pad + low, tuple(a[low : high + d + 1])
 
 
 def from_window(period: int, lo: int, vals: Sequence[int]) -> Permutation:
     """Build a Permutation from raw fields, validating and canonicalizing."""
-    vals = tuple(int(v) for v in vals)
+    vals = tuple(map(int, vals))
     bad = validate(period, lo, vals)
     if bad:
         raise InvalidPermutation(
@@ -421,18 +444,29 @@ def apply(p: Permutation, n: int) -> int:
 
 
 def inverse(p: Permutation) -> Permutation:
-    """The inverse bijection (same period after canonicalization)."""
-    k, m = p.period, p.diff_bound
-    lo_i = p.lo - m - k
-    hi_i = p.hi + m + k
-    pre = _preimages(k, p.lo, p.vals, lo_i - m, hi_i + m)
-    vals = []
-    for a in range(lo_i, hi_i + 1):
-        hits = pre.get(a, ())
-        if len(hits) != 1:
-            raise InvalidPermutation(f"no unique preimage of {a}")
-        vals.append(hits[0])
-    return from_window(k, lo_i, vals)
+    """The inverse bijection (same period after canonicalization).
+
+    Its window holds the preimages of [min(vals) - k, max(vals) + k]: the
+    window's own values, and in each residue class r the targets below the
+    first value L_r of class r or above the last one R_r, whose preimages
+    continue those of L_r and R_r in steps of one.
+    """
+    k, lo, vals = p.period, p.lo, p.vals
+    lo_i = min(vals) - k
+    size = max(vals) + k - lo_i + 1
+    if size > _max_window:
+        raise ResourceLimit(f"window of {size} entries exceeds cap {_max_window}")
+    pre = [0] * size
+    for j in range(k):
+        # the targets of a class below its first value continue that value's
+        # preimage downward in steps of k, those above its last one upward
+        n, t = lo + j, vals[j] - lo_i
+        pre[t % k : t : k] = range(n - t + t % k, n, k)
+        n, t = lo + len(vals) - k + j, vals[len(vals) - k + j] - lo_i
+        pre[t + k :: k] = range(n + k, n + size - t, k)
+    for n, v in enumerate(vals, lo):
+        pre[v - lo_i] = n
+    return from_window(k, lo_i, pre)
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
@@ -606,9 +640,3 @@ def inv_count(p: Permutation) -> int:
     # the window maps onto [lo - chi, hi - chi] and both tails are n - chi,
     # so every inversion lies inside the window
     return _inversions(c.vals)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

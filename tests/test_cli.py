@@ -124,6 +124,14 @@ def test_exit_codes():
     assert main(["--max-window", "8", "star", "gamma(4,4)", "gamma(4,4)"]) == 4
 
 
+@pytest.mark.parametrize("expr", ["sym(1; \u00b2)", "shift(\u0663)"])
+def test_non_ascii_digits_exit_2(capsys, expr):
+    code, out, err = run(capsys, "inverse", expr)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: expected an integer")
+
+
 def test_diagnostics_go_to_stderr(capsys):
     code, out, err = run(capsys, "star", "frob(1)", "sigma(1)")
     assert code == 2

@@ -17,6 +17,7 @@ from demaz import (
     make_sigma_set,
     parse_perm,
 )
+from demaz.grammar import _Scanner
 
 
 def test_parse_sym():
@@ -101,3 +102,72 @@ def test_error_messages_locate_problem():
     with pytest.raises(ParseError) as ei:
         parse_perm("sym(1; 2 q 1)")
     assert "q" in str(ei.value)
+
+
+class _CharScanner(_Scanner):
+    """The character-by-character integer reading that int_list_ws and
+    integer replaced, kept as the reference (``isdigit`` agrees with [0-9] on
+    the ASCII strings it is given here)."""
+
+    def integer(self):
+        self.skip_ws()
+        start = self.pos
+        if self.pos < len(self.text) and self.text[self.pos] in "+-":
+            self.pos += 1
+        digits = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == digits:
+            self.pos = start
+            raise self.error("expected an integer")
+        return int(self.text[start : self.pos])
+
+    def int_list_ws(self):
+        out = [self.integer()]
+        while True:
+            self.skip_ws()
+            if self.pos < len(self.text) and (
+                self.text[self.pos].isdigit() or self.text[self.pos] in "+-"
+            ):
+                out.append(self.integer())
+            else:
+                return out
+
+
+def _read_list(scanner_class, text):
+    sc = scanner_class(text)
+    try:
+        return sc.int_list_ws(), sc.pos
+    except ParseError as e:
+        return str(e), e.pos
+
+
+def test_int_list_ws_matches_the_character_scanner(rng):
+    pieces = ["1", "23", "0", "-", "+", " ", "\t", "\n", "-4", "+3", "x", ")", ";"]
+    texts = ["1-2", "+3", "1\t2\n3", "1--2", "4 -", "5 +", "-", "", " 7 )", "1 - 2"]
+    texts += [
+        "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+        for _ in range(4000)
+    ]
+    outcomes = set()
+    for text in texts:
+        want = _read_list(_CharScanner, text)
+        assert _read_list(_Scanner, text) == want, repr(text)
+        outcomes.add(type(want[0]))
+    assert outcomes == {list, str}
+    assert _read_list(_Scanner, "1-2")[0] == [1, -2]
+    assert _read_list(_Scanner, "1--2") == (
+        "expected an integer at position 1: '--2'",
+        1,
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["sym(1; \u00b2)", "shift(\u0663)", "aff(1; \u0661)", "ep(k=1, lo=\uff10; 0)"],
+)
+def test_non_ascii_digits_are_parse_errors(text):
+    # str.isdigit accepts a superscript two, and int() reads Arabic-Indic
+    # and fullwidth digits; the grammar's integers are ASCII decimal
+    with pytest.raises(ParseError, match="expected an integer"):
+        parse_perm(text)

@@ -1,8 +1,17 @@
 """Core permutation representation: construction, evaluation, counting."""
 
+import doctest
+
 import pytest
 
-from conftest import inversion_pairs, line_of, rand_affine, sd_lines, zoo_perm
+from conftest import (
+    inversion_pairs,
+    line_of,
+    rand_affine,
+    rand_line,
+    sd_lines,
+    zoo_perm,
+)
 
 from demaz import (
     InfiniteInversions,
@@ -34,8 +43,16 @@ from demaz import (
     star,
     validate,
 )
+from demaz import perm
 from demaz.oracle import oracle_eval_s
-from demaz.perm import _raw_chi, _raw_diff_bound, _tail_apply
+from demaz.perm import (
+    Violation,
+    _canonical_fields,
+    _covers_each_class_once,
+    _raw_chi,
+    _raw_diff_bound,
+    _tail_apply,
+)
 
 
 def test_identity_fixes_everything():
@@ -278,6 +295,19 @@ def test_inverse_matches_the_preimage_scan(rng):
             for a in range(lo_i, p.hi + m + k + 1)
         ]
         assert inverse(p) == from_window(k, lo_i, want)
+    # a shift by 10^6: the scan's window of 2*10^6 + 3 targets exceeds the
+    # window cap, and each target's scan would take 2*10^6 steps; the
+    # preimages are known in closed form
+    big = make_shift(10**6)
+    assert repr(inverse(big)) == "ep(k=1, lo=0; 1000000)"
+    assert inverse(make_shift(-(10**6))) == big
+    a = make_affine([4, -1, 3], 3)
+    for chi in (10**5, -(10**5)):
+        p = compose(make_shift(chi), a)
+        q = inverse(p)
+        assert all(apply(q, apply(p, n)) == n for n in range(-30, 30))
+        assert all(apply(p, apply(q, t)) == t for t in range(-chi - 30, -chi + 30))
+        assert q == compose(inverse(a), make_shift(-chi))
 
 
 def test_inversion_scan_matches_the_per_pair_loops(rng):
@@ -343,3 +373,153 @@ def test_chi_matches_the_crossing_count(rng):
             windows += 1
     assert windows == 300
     assert shift_of(make_shift(10**5)) == 10**5
+
+
+def _validate_by_band(k, lo, vals):
+    """validate as it was before the residue-class verdict: every valid
+    window also walked the guard band.  The reference for the verdict."""
+    out = []
+    if len({v % k for v in vals[:k]}) != k or len({v % k for v in vals[-k:]}) != k:
+        return None  # the residue checks, unchanged, decide these
+    hi = lo + len(vals) - 1
+    m = _raw_diff_bound(k, lo, vals)
+    pre = {}
+    for n in range(lo - 2 * m - 2 * k, hi + 2 * m + 2 * k + 1):
+        pre.setdefault(_tail_apply(k, lo, vals, n), []).append(n)
+    collisions = sorted(
+        (hits[i], hits[i - 1], v)
+        for v, hits in pre.items()
+        for i in range(1, len(hits))
+    )
+    for n, prev, v in collisions:
+        out.append(Violation("duplicate-image", f"alpha({prev}) = alpha({n}) = {v}"))
+    for a in range(lo - m - k, hi + m + k + 1):
+        hits = pre.get(a)
+        if not hits:
+            out.append(Violation("missing-preimage", f"no n with alpha(n) = {a}"))
+        elif len(hits) > 1:
+            out.append(
+                Violation("duplicate-preimage", f"alpha({hits}) all equal {a}")
+            )
+    return out
+
+
+def _raw_windows(rng, count):
+    """Raw windows of period k <= 5 whose end residue systems are complete:
+    random values, and valid windows (an affine map, some of its window
+    entries swapped) with one entry perturbed half of the time."""
+    for _ in range(count):
+        k = rng.randint(1, 5)
+        if rng.random() < 0.4:
+            n = rng.randint(k, 3 * k + 5)
+            vals = [rng.randint(-12, 12) for _ in range(n)]
+            for ends in (range(k), range(n - k, n)):
+                res = rng.sample(range(k), k)
+                for r, i in zip(res, ends):
+                    vals[i] = r + k * rng.randint(-3, 3)
+        else:
+            base = [r + k * rng.randint(-2, 2) for r in rng.sample(range(k), k)]
+            start = -k * rng.randint(0, 3)
+            end = k * rng.randint(1, 4) + rng.randint(0, 6)
+            vals = [base[i % k] + i - i % k for i in range(start, end)]
+            n = len(vals)
+            for _ in range(rng.randint(0, 3)):
+                i, j = rng.randrange(n), rng.randrange(n)
+                vals[i], vals[j] = vals[j], vals[i]
+            if rng.random() < 0.5:
+                vals[rng.randrange(n)] += rng.choice((k, -k, 1, -1, 2 * k))
+        yield k, rng.randint(-6, 6), vals
+
+
+def test_residue_class_verdict_matches_the_band_scan(rng):
+    verdicts = {True: 0, False: 0}
+    for k, lo, vals in _raw_windows(rng, 12000):
+        want = _validate_by_band(k, lo, vals)
+        got = validate(k, lo, vals)
+        if want is None:
+            assert got and {v.kind for v in got} == {"residue-collision"}
+            continue
+        valid = _covers_each_class_once(k, vals)
+        assert valid == (want == []), (k, lo, vals)
+        assert got == want, (k, lo, vals)
+        verdicts[valid] += 1
+    assert verdicts[True] > 2000 and verdicts[False] > 5000, verdicts
+
+
+def _canonical_by_loops(k, lo, vals):
+    """The divisor test and deviation scan _canonical_fields replaced, each
+    point evaluated on its own; the reference."""
+    hi = lo + len(vals) - 1
+    ev = lambda n: _tail_apply(k, lo, vals, n)
+    d = k
+    for cand in [c for c in range(1, k + 1) if k % c == 0]:
+        right_ok = all(
+            ev(n + cand) == ev(n) + cand for n in range(hi - k + 1, hi + 1)
+        )
+        left_ok = all(ev(n - cand) == ev(n) - cand for n in range(lo, lo + k))
+        if right_ok and left_ok:
+            d = cand
+            break
+    dev = [n for n in range(lo - d - k - 1, hi + k + 2) if ev(n + d) != ev(n) + d]
+    if not dev:
+        return d, 0, tuple(ev(i) for i in range(d))
+    lo_c = min(dev)
+    hi_c = max(dev) + d
+    return d, lo_c, tuple(ev(n) for n in range(lo_c, hi_c + 1))
+
+
+def test_canonical_fields_match_the_pointwise_loops(rng):
+    windows = [w for w in _raw_windows(rng, 4000) if _validate_by_band(*w) == []]
+    for _ in range(300):
+        p = zoo_perm(rng)
+        if rng.random() < 0.3:
+            p = compose(make_shift(rng.randint(-40, 40)), p)
+        k = p.period * rng.randint(1, 3)
+        lo = p.lo - k * rng.randint(0, 3)
+        hi = max(p.hi, lo + k - 1) + rng.randint(0, 2 * k)
+        windows.append((k, lo, [apply(p, n) for n in range(lo, hi + 1)]))
+    periods = set()
+    for k, lo, vals in windows:
+        got = _canonical_fields(k, lo, tuple(vals))
+        assert got == _canonical_by_loops(k, lo, vals), (k, lo, vals)
+        periods.add((k, got[0]))
+    # multiples reduced to a proper divisor occur, as do kept periods
+    assert any(d < k for k, d in periods) and any(d == k > 1 for k, d in periods)
+    assert len(windows) > 1000, len(windows)
+
+
+def test_from_window_cost_does_not_depend_on_diff_bound(monkeypatch, rng):
+    calls = 0
+    real = perm._tail_apply
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(perm, "_tail_apply", counting)
+    line = rand_line(rng, 1000)
+    cases = {
+        "shift": [(1, 0, (-(10**6),)), (1, 0, (-1,))],
+        "affine": [(2, 0, (0, 2000001)), (2, 0, (0, 3))],
+        "S_1000": [
+            (1, 0, (10**5, *(v + 10**5 for v in line), 1001 + 10**5)),
+            (1, 0, (0, *line, 1001)),
+        ],
+    }
+    for name, windows in cases.items():
+        counts = []
+        for (k, lo, vals), far in zip(windows, (True, False)):
+            calls = 0
+            p = from_window(k, lo, vals)
+            counts.append(calls)
+            assert (p.diff_bound >= 10**5) == far
+            assert calls <= 12 * (len(vals) + k), (name, calls)
+        # the two windows differ in diff_bound: 10^5 or more against 1000 or less
+        assert counts[0] == counts[1], (name, counts)
+
+
+def test_perm_doctests_pass():
+    result = doctest.testmod(perm)
+    assert result.failed == 0
+    assert result.attempted == 8
