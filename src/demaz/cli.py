@@ -138,9 +138,9 @@ def _cmd_compare(args) -> int:
         sa, sb = sf_from_perm(a), sf_from_perm(b)
         if sf_leq_grid(sa, sb)[0] != ok:
             raise DemazError("extended check failed: comparators disagree")
-        if a.period == b.period == 1 and sf_leq_ess(sa, sb) != (ok, wit):
+        if sf_leq_ess(sa, sb) != (ok, wit):
             raise DemazError(
-                "extended check failed: finitary comparison differs from the "
+                "extended check failed: rank-table comparison differs from the "
                 "grid engine"
             )
     if args.json:

@@ -1,6 +1,5 @@
 """The word-fold engine: products of period-1 and of globally periodic
-permutations, and Bruhat comparison of period-1 permutations, without
-slipface grids.
+permutations without slipface grids.
 
 A period-1 permutation is T w, where T is the translation n -> n - chi (a
 length-0 element) and w moves finitely many integers.  Length-0 elements pass
@@ -24,9 +23,6 @@ swaps K - 1 and K).  The same factoring gives star(x, T v') = star(x T, v'),
 and the fold runs on one period of K entries: the word sorts one period of
 v'^-1 at its affine descents, O(K + l(v')) steps.
 
-Bruhat comparison reads the rank tables of both sides on the region that holds
-every essential cell of the left side, which is the size of its window.
-
 Each fold certifies itself: its word has exactly l(v) letters and the result
 has length l(x) plus (star) or minus (tll) the letters kept, all lengths
 counted independently (a Fenwick count in O(N log N) for period 1, Shi's
@@ -44,8 +40,8 @@ import numpy as np
 
 from .errors import InternalInconsistency, ResourceLimit
 from .perm import Permutation, apply, from_window, get_max_window
-from .perm import _inversions, _raw_chi, _relative_images, _tail_apply
-from .slipface import _GRID_CELL_CAP, ess_mask, perm_box
+from .perm import _inversions, _raw_chi, _tail_apply
+from .slipface import _GRID_CELL_CAP
 
 __all__ = [
     "star",
@@ -55,7 +51,6 @@ __all__ = [
     "affine_star",
     "affine_tll",
     "affine_tlr",
-    "bruhat_leq_witness",
 ]
 
 # (lo, vals, chi): alpha(lo + i) = vals[i], and alpha(n) = n - chi off the window
@@ -298,57 +293,3 @@ def affine_tlr(p: Permutation, q: Permutation) -> Permutation:
     x, v = _affine_operands(p, q)
     r = _affine_fold(_period_inverse(v), _period_inverse(x), ascents=False)
     return from_window(len(x), 0, _period_inverse(r))
-
-
-# ---------------------------------------------------------------------------
-# Bruhat comparison
-
-
-def _rank_table(p: Permutation, a0: int, a1: int, b0: int, b1: int) -> np.ndarray:
-    """s_p(a, b) = #{n >= b : alpha(n) < a} on [a0, a1] x [b0, b1]."""
-    cells = (a1 - a0 + 1) * (b1 - b0 + 1)
-    if cells > _GRID_CELL_CAP:
-        raise ResourceLimit(f"rank table of {cells} cells exceeds grid cap")
-    a = np.arange(a0, a1 + 1, dtype=np.int64)
-    below = b0 + _relative_images(p, b0, b1)[None, :] < a[:, None]
-    counts = np.cumsum(below[:, ::-1], axis=1, dtype=np.int64)[:, ::-1]
-    # n > b1: off the window alpha(n) = n - chi < a exactly when n <= top,
-    # counted in closed form; the window's values by sorted search
-    w0, w1 = max(b1 + 1, p.lo), p.hi
-    top = a + p.chi - 1
-    off = np.maximum(0, top - b1) - np.maximum(0, np.minimum(top, w1) - w0 + 1)
-    inside = np.sort(w0 + _relative_images(p, w0, w1))
-    tail = off + np.searchsorted(inside, a, side="left")
-    return counts + tail[:, None]
-
-
-def _far_witness(p: Permutation, q: Permutation) -> tuple[int, int]:
-    # the cell the grid comparison reports when chi_p > chi_q: beyond both
-    # tabulated boxes (plus one period and one cell) and both bands
-    (band_p, _, hi_p), (band_q, _, hi_q) = perm_box(p), perm_box(q)
-    d = max(band_p, band_q)
-    b = max(hi_p, hi_q) + 2 + d + 1
-    return b + d, b
-
-
-def bruhat_leq_witness(
-    p: Permutation, q: Permutation
-) -> tuple[bool, tuple[int, int] | None]:
-    """Whether s_p <= s_q, with the first failing essential cell of s_p in
-    (a, b) order; the same verdict and cell as the grid comparison."""
-    if p.chi > q.chi:
-        return False, _far_witness(p, q)
-    # an essential cell (a, b) has alpha(b) < a <= alpha(b-1) and
-    # alpha^-1(a) < b <= alpha^-1(a-1), so b and b-1 cannot both lie off the
-    # window, nor a and a-1 both off its image [lo - chi, hi - chi]
-    a0, a1 = p.lo - p.chi + 1, p.hi - p.chi
-    b0, b1 = p.lo + 1, p.hi
-    if a0 > a1 or b0 > b1:
-        return True, None
-    s = _rank_table(p, a0 - 1, a1 + 1, b0 - 1, b1 + 1)
-    t = _rank_table(q, a0, a1, b0, b1)
-    bad = ess_mask(s) & (s[1:-1, 1:-1] > t)
-    if np.any(bad):
-        i, j = np.argwhere(bad)[0]
-        return False, (a0 + int(i), b0 + int(j))
-    return True, None

@@ -10,13 +10,15 @@ The accepted forms are
     gamma(<m>,<n>)                  order-preserving two-block shuffle
     ep(k=<k>, lo=<lo>; v_lo ... v_hi)   raw window form
 
-Integers are ASCII decimal (digits 0-9) with an optional sign.  ``format_perm``
-always emits the canonical ep(...) form, and ``parse_perm(format_perm(p)) == p``.
+Integers are ASCII decimal (digits 0-9) with an optional sign and at most
+sys.get_int_max_str_digits() digits.  ``format_perm`` always emits the
+canonical ep(...) form, and ``parse_perm(format_perm(p)) == p``.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 
 from .errors import ParseError
 from .perm import (
@@ -77,7 +79,7 @@ class _Scanner:
         if token is None:
             raise self.error("expected an integer")
         self.pos = token.end()
-        return int(token.group())
+        return self._ints(token)[0]
 
     def int_list_ws(self) -> list[int]:
         self.skip_ws()
@@ -88,7 +90,16 @@ class _Scanner:
         # no integer here, or the run stopped at a sign with no digits after it
         if run is None or self.text.startswith(("+", "-"), self.pos):
             raise self.error("expected an integer")
-        return [int(t) for t in _INT.findall(run.group())]
+        return self._ints(run)
+
+    def _ints(self, span: re.Match) -> list[int]:
+        try:
+            return [int(t) for t in _INT.findall(span.group())]
+        except ValueError:  # int() refuses over sys.get_int_max_str_digits()
+            limit = sys.get_int_max_str_digits()
+            tokens = _INT.finditer(self.text, span.start(), span.end())
+            self.pos = next(t.start() for t in tokens if len(t[0].lstrip("+-")) > limit)
+            raise self.error(f"integer of more than {limit} digits") from None
 
     def int_list_comma(self) -> list[int]:
         self.skip_ws()

@@ -1,10 +1,11 @@
 """Bruhat order, shift-graded order, and the two weak orders.
 
-Bruhat comparison is pointwise comparison of the rank-counting slipfaces,
-accelerated by checking only essential points of the smaller side.  When both
-sides have period 1 the finitary engine reads the two rank tables on the left
-side's window; otherwise the slipface grids are compared.  Both report the
-same verdict and witness cell.
+Bruhat comparison is pointwise comparison of the rank functions
+s_p(a, b) = #{n >= b : alpha(n) < a}, checked only at the essential cells of
+the smaller side, on tables from ``slipface.rank_table`` for every period.
+When both sides have period 1 the tables cover the left side's window, which
+holds all of its essential cells; otherwise they cover the square that the
+grid comparison ``sf_leq_ess`` scans, so verdict and witness cell are its own.
 
 The weak orders compare inversion sets with the one inversion scan of
 ``perm.first_inversion``: it decides the question exactly on the certified
@@ -14,9 +15,8 @@ the witness.
 
 from __future__ import annotations
 
-from . import finitary
 from .perm import Permutation, first_inversion, inverse
-from .slipface import sf_from_perm, sf_leq_ess
+from .slipface import leq_at_ess, perm_box, rank_table, scan_region
 
 __all__ = [
     "bruhat_leq",
@@ -32,10 +32,22 @@ __all__ = [
 def bruhat_leq_witness(
     p: Permutation, q: Permutation
 ) -> tuple[bool, tuple[int, int] | None]:
-    """Bruhat comparison with a violating cell (a, b) when it fails."""
-    if p.period == 1 and q.period == 1:
-        return finitary.bruhat_leq_witness(p, q)
-    return sf_leq_ess(sf_from_perm(p), sf_from_perm(q))
+    """Whether s_p <= s_q, with the first failing essential cell of s_p in
+    (a, b) order; the same verdict and cell as the grid comparison."""
+    r0, r1, far = scan_region(perm_box(p), perm_box(q))
+    if p.chi > q.chi:
+        return False, far
+    a0, a1, b0, b1 = r0, r1, r0, r1
+    if p.period == q.period == 1:
+        # an essential cell (a, b) has alpha(b) < a <= alpha(b-1) and
+        # alpha^-1(a) < b <= alpha^-1(a-1), so b and b-1 cannot both lie off
+        # the window, nor a and a-1 both off its image [lo - chi, hi - chi]
+        a0, a1 = p.lo - p.chi + 1, p.hi - p.chi
+        b0, b1 = p.lo + 1, p.hi
+        if a0 > a1 or b0 > b1:
+            return True, None
+    s = rank_table(p, a0 - 1, a1 + 1, b0 - 1, b1 + 1)
+    return leq_at_ess(s, rank_table(q, a0, a1, b0, b1), a0, b0)
 
 
 def bruhat_leq(p: Permutation, q: Permutation) -> bool:

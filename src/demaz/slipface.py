@@ -46,7 +46,7 @@ from .errors import (
     ParseError,
     ResourceLimit,
 )
-from .perm import Permutation, apply, eval_s, from_window
+from .perm import Permutation, _relative_images, apply, from_window
 
 __all__ = [
     "Slipface",
@@ -62,7 +62,6 @@ __all__ = [
     "sf_to_perm",
     "sf_from_rank_grid",
     "ess_set",
-    "sf_leq",
     "sf_leq_grid",
     "sf_leq_ess",
     "sf_star",
@@ -91,6 +90,12 @@ class Slipface:
     @property
     def b_hi(self) -> int:
         return self.b_lo + self.grid.shape[1] - 1
+
+    @property
+    def box(self) -> tuple[int, int, int, int]:
+        """(period, band, lo, hi), the stored box lying within [lo, hi]^2."""
+        lo, hi = min(self.a_lo, self.b_lo), max(self.a_hi, self.b_hi)
+        return self.period, self.band, lo, hi
 
     def __repr__(self) -> str:
         return (
@@ -193,32 +198,62 @@ def _box_frame_grid(s: Slipface) -> np.ndarray:
 # constructors
 
 
-def perm_box(p: Permutation) -> tuple[int, int, int]:
-    """(band, c0, c1): the band of s_p and the box [c0, c1]^2 sf_from_perm tabulates."""
+def perm_box(p: Permutation) -> tuple[int, int, int, int]:
+    """sf_from_perm(p).box: the period and band of s_p, and the box
+    [c0, c1]^2 that sf_from_perm tabulates."""
     k, m = p.period, p.diff_bound
     band = max(m + 1, abs(p.chi) + 1)
-    return band, p.lo - m - band - k - 2, p.hi + m + band + k + 2
+    return k, band, p.lo - m - band - k - 2, p.hi + m + band + k + 2
+
+
+def rank_table(p: Permutation, a0: int, a1: int, b0: int, b1: int) -> np.ndarray:
+    """s_p(a, b) = #{n >= b : alpha(n) < a} on [a0, a1] x [b0, b1].
+
+    Columns b0..b1 are a suffix sum of alpha(n) < a over n in [b, b1]; the
+    n > b1 add one count per row.  From n0 = max(b1, hi) + 1 on, the right
+    tail runs through alpha(n0 + i) + kZ for i < k, a complete residue system:
+    it hits every integer from top = max_i alpha(n0 + i) - k + 1 on, and its
+    few values below top join the window's in one sorted search.  The left
+    tail's classes are counted in closed form, and only when some n > b1 lies
+    left of the window.
+    """
+    cells = (a1 - a0 + 1) * (b1 - b0 + 1)
+    if cells > _GRID_CELL_CAP:
+        raise ResourceLimit(f"rank table of {cells} cells exceeds grid cap")
+    k, lo, hi = p.period, p.lo, p.hi
+    # every alpha(n) met lies within reach of 0, so below 2^62 each
+    # difference and count stays inside int64
+    reach = max(abs(a0), abs(a1), abs(b0), abs(b1), abs(lo), abs(hi)) + k + p.diff_bound
+    if reach >= 2**62:
+        raise ResourceLimit(
+            f"rank table on [{a0}..{a1}]x[{b0}..{b1}] of the window [{lo}..{hi}] "
+            f"needs integers up to {reach}, over the int64 limit {2**62}"
+        )
+    a = np.arange(a0, a1 + 1, dtype=np.int64)
+    below = b0 + _relative_images(p, b0, b1)[None, :] < a[:, None]
+    counts = np.cumsum(below[:, ::-1], axis=1, dtype=np.int64)[:, ::-1]
+    n0 = max(b1, hi) + 1
+    firsts = [apply(p, n) for n in range(n0, n0 + k)]
+    top = max(firsts) - k + 1
+    seen = list(p.vals[max(b1 + 1 - lo, 0) :])
+    seen += [v for u in firsts for v in range(u, top, k)]
+    tail = np.searchsorted(np.sort(np.array(seen, dtype=np.int64)), a)
+    tail += np.maximum(0, a - top)
+    if b1 + 1 < lo:  # left tail: n = j - km in (b1, lo) for 1 <= m0 <= m <= m1
+        v = np.array(p.vals[:k], dtype=np.int64)
+        m0 = np.maximum(1, (v - a[:, None]) // k + 1)
+        m1 = (np.arange(lo, lo + k, dtype=np.int64) - b1 - 1) // k
+        tail += np.maximum(0, m1 - m0 + 1).sum(axis=1)
+    return counts + tail[:, None]
 
 
 @lru_cache(maxsize=1024)
 def sf_from_perm(p: Permutation) -> Slipface:
-    """The rank-counting slipface of a permutation, tabulated exactly.
-
-    The box extends one period plus one band width beyond the window on each
-    side, which is enough for the diagonal-translation rule to reproduce
-    eval_s everywhere.  The rightmost column comes from eval_s; the rest fill
-    in leftward through s(a, b) = s(a, b+1) + [alpha(b) < a].
-    """
-    k = p.period
-    band, c0, c1 = perm_box(p)
-    side = c1 - c0 + 1
-    avals = np.arange(c0, c1 + 1, dtype=np.int64)
-    grid = np.empty((side, side), dtype=np.int64)
-    grid[:, side - 1] = [eval_s(p, int(a), c1) for a in avals]
-    alpha = np.array([apply(p, b) for b in range(c0, c1 + 1)], dtype=np.int64)
-    for j in range(side - 2, -1, -1):
-        grid[:, j] = grid[:, j + 1] + (alpha[j] < avals)
-    return _mk(p.chi, k, band, c0, c0, grid)
+    """The rank-counting slipface of a permutation: its rank_table on
+    perm_box, one period plus one band width beyond the window on each side,
+    enough for the diagonal-translation rule to reproduce eval_s everywhere."""
+    k, band, c0, c1 = perm_box(p)
+    return _mk(p.chi, k, band, c0, c0, rank_table(p, c0, c1, c0, c1))
 
 
 def sf_dual(s: Slipface) -> Slipface:
@@ -379,18 +414,23 @@ def sf_to_perm(s: Slipface) -> Permutation:
     return p
 
 
-def _union_region(s: Slipface, t: Slipface) -> tuple[int, int]:
-    k = math.lcm(s.period, t.period)
-    lo = min(s.a_lo, s.b_lo, t.a_lo, t.b_lo) - k - 1
-    hi = max(s.a_hi, s.b_hi, t.a_hi, t.b_hi) + k + 1
-    return lo, hi
+def scan_region(*boxes: tuple[int, int, int, int]) -> tuple[int, int, tuple[int, int]]:
+    """(r0, r1, far) for comparing slipfaces with the given boxes (see
+    Slipface.box): [r0, r1]^2 reaches one common period and one cell past
+    every box, and far lies beyond it on the diagonal a - b = d, the largest
+    band, where both sides equal max(0, chi + d), so s > t if chi_s > chi_t."""
+    k = math.lcm(*(box[0] for box in boxes))
+    d = max(box[1] for box in boxes)
+    r0 = min(box[2] for box in boxes) - k - 1
+    r1 = max(box[3] for box in boxes) + k + 1
+    return r0, r1, (r1 + 2 * d + 1, r1 + d + 1)
 
 
 def sf_equal(s: Slipface, t: Slipface) -> bool:
     """Equality as functions on all of Z^2."""
     if s.chi != t.chi:
         return False
-    lo, hi = _union_region(s, t)
+    lo, hi, _ = scan_region(s.box, t.box)
     return bool(
         np.array_equal(
             sf_eval_grid(s, lo, hi, lo, hi), sf_eval_grid(t, lo, hi, lo, hi)
@@ -454,20 +494,13 @@ def ess_set(s: Slipface) -> EssSet:
     return EssSet(tuple(sorted(pts)), ne or sw, k)
 
 
-def _far_witness(s: Slipface, t: Slipface) -> tuple[int, int]:
-    lo, hi = _union_region(s, t)
-    d = max(s.band, t.band)
-    b = hi + d + 1
-    return (b + d, b)
-
-
 def sf_leq_grid(
     s: Slipface, t: Slipface
 ) -> tuple[bool, tuple[int, int] | None]:
     """Pointwise comparison by scanning the full certified band region."""
+    lo, hi, far = scan_region(s.box, t.box)
     if s.chi > t.chi:
-        return False, _far_witness(s, t)
-    lo, hi = _union_region(s, t)
+        return False, far
     S = sf_eval_grid(s, lo, hi, lo, hi)
     T = sf_eval_grid(t, lo, hi, lo, hi)
     bad = S > T
@@ -485,21 +518,24 @@ def sf_leq_ess(s: Slipface, t: Slipface) -> tuple[bool, tuple[int, int] | None]:
     positive).  Points outside the scanned region are periodic translates of
     scanned ones.
     """
+    lo, hi, far = scan_region(s.box, t.box)
     if s.chi > t.chi:
-        return False, _far_witness(s, t)
-    lo, hi = _union_region(s, t)
+        return False, far
     S = sf_eval_grid(s, lo - 1, hi + 1, lo - 1, hi + 1)
-    T = sf_eval_grid(t, lo, hi, lo, hi)
+    return leq_at_ess(S, sf_eval_grid(t, lo, hi, lo, hi), lo, lo)
+
+
+def leq_at_ess(
+    S: np.ndarray, T: np.ndarray, a0: int, b0: int
+) -> tuple[bool, tuple[int, int] | None]:
+    """Whether S <= T at the essential cells of S, with the first failing
+    cell in (a, b) order.  T holds a rectangle starting at (a0, b0), and S
+    the same rectangle with a one-cell frame."""
     bad = ess_mask(S) & (S[1:-1, 1:-1] > T)
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
-        return False, (lo + int(i), lo + int(j))
+        return False, (a0 + int(i), b0 + int(j))
     return True, None
-
-
-def sf_leq(s: Slipface, t: Slipface) -> tuple[bool, tuple[int, int] | None]:
-    """Pointwise order on slipfaces; (verdict, witness cell when false)."""
-    return sf_leq_ess(s, t)
 
 
 # ---------------------------------------------------------------------------

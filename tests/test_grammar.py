@@ -1,5 +1,7 @@
 """Surface syntax: parsing expressions, formatting canonical forms."""
 
+import sys
+
 import pytest
 
 from conftest import zoo_perm
@@ -171,3 +173,21 @@ def test_non_ascii_digits_are_parse_errors(text):
     # and fullwidth digits; the grammar's integers are ASCII decimal
     with pytest.raises(ParseError, match="expected an integer"):
         parse_perm(text)
+
+
+@pytest.mark.parametrize(
+    "head, tail, at",
+    [
+        ("shift(", ")", 6),
+        ("aff(2; 1 ", ")", 9),
+        ("gamma(1, -", ")", 9),
+        ("ep(k=1, lo=+", "; 0)", 11),
+    ],
+)
+def test_integers_past_the_digit_limit_are_parse_errors(head, tail, at):
+    # int() refuses more than sys.get_int_max_str_digits() (4300) digits
+    limit = sys.get_int_max_str_digits()
+    parse_perm(head + "0" * limit + tail)
+    with pytest.raises(ParseError, match=f"integer of more than {limit} digits") as ei:
+        parse_perm(head + "9" * (limit + 1) + tail)
+    assert ei.value.pos == at

@@ -2,28 +2,38 @@
 
 import itertools
 import math
+import sys
 
 from conftest import (
     inversion_pairs,
     line_of,
+    rand_affine,
     sd_lines,
     sd_perms,
+    sym,
     zoo_perm,
     zoo_perm_with_shift,
 )
 
 from demaz import (
+    ResidueClass,
     apply,
     bruhat_leq,
     bruhat_leq_witness,
     compose,
     eval_s,
+    format_perm,
     has_inversion,
     identity,
     inverse,
     is_reduced_pair_witness,
     leq_chi,
+    make_gamma,
     make_shift,
+    make_sigma_set,
+    reduce,
+    sf_from_perm,
+    sf_leq_ess,
     shift_of,
     star,
     weak_left_leq,
@@ -31,6 +41,8 @@ from demaz import (
     weak_right_leq,
     weak_right_leq_witness,
 )
+from demaz import slipface
+from demaz.cli import main
 from demaz.oracle import sd_leq
 
 
@@ -50,6 +62,66 @@ def test_bruhat_witness_is_genuine(rng):
         if not ok:
             a, b = wit
             assert eval_s(p, a, b) > eval_s(q, a, b)
+
+
+def periodic_pairs(rng):
+    """The families of the periodic benchmark: periods 3 against 5, a
+    period-7 affine shifted by 15 against period 5, two-block shuffles,
+    period 7 against transpositions at r + 4Z, a two-block shuffle against
+    finite transpositions."""
+    pairs = []
+    for _ in range(3):
+        pairs.append((rand_affine(rng, 3, 1), rand_affine(rng, 5, 1)))
+        shift = make_shift(rng.choice((-15, 15)))
+        pairs.append((compose(rand_affine(rng, 7, 1), shift), rand_affine(rng, 5, 1)))
+        m, n, m2, n2 = rng.sample(range(9), 2) + rng.sample(range(9), 2)
+        pairs.append((make_gamma(m, n), make_gamma(m2, n2)))
+        sigma = make_sigma_set(ResidueClass(rng.randrange(4), 4))
+        pairs.append((rand_affine(rng, 7, 1), sigma))
+        sigma = make_sigma_set(sorted(rng.sample(range(-8, 9, 2), 3)))
+        pairs.append((make_gamma(*rng.sample(range(9), 2)), sigma))
+    return pairs
+
+
+def test_bruhat_witness_matches_the_grid_comparison(rng):
+    pairs = []
+    for p, q in periodic_pairs(rng):
+        g = star(p, q)
+        pairs += [(p, q), (q, p), (p, g), (g, p), (g, q), (q, g)]
+        # the left side larger in shift: the far witness
+        pairs.append((compose(make_shift(q.chi - g.chi + 1), g), q))
+    for k in range(2, 8):
+        d, off = rng.randint(2, 5), rng.randint(-4, 4)
+        mixed = star(rand_affine(rng, k, 1), sym(rng, d, off))
+        other = rand_affine(rng, rng.randint(2, 7), 1)
+        pairs += [(mixed, other), (other, mixed), (mixed, star(mixed, other))]
+    outcomes = set()
+    for p, q in pairs:
+        got = bruhat_leq_witness(p, q)
+        assert got == sf_leq_ess(sf_from_perm(p), sf_from_perm(q)), (p, q)
+        outcomes.add((got[0], p.chi > q.chi, max(p.period, q.period) > 1))
+    assert outcomes >= {(True, False, True), (False, False, True), (False, True, True)}
+
+
+def test_periodic_comparison_and_reduce_build_no_grid(rng, monkeypatch, capsys):
+    built = []
+    real = slipface.sf_from_perm
+
+    def counting(p):
+        built.append(p)
+        return real(p)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "demaz" and hasattr(module, "sf_from_perm"):
+            monkeypatch.setattr(module, "sf_from_perm", counting)
+    for p, q in periodic_pairs(rng):
+        if max(p.period, q.period) > 1:
+            main(["compare", "leq", format_perm(p), format_perm(q)])
+            reduce(p, q, star(p, q))
+    assert built == []
+    main(["ess", "sigma_mod(1,4)"])  # the counter sees calls through the CLI
+    assert len(built) == 1
+    capsys.readouterr()
 
 
 def test_bruhat_shift_examples():

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import sd_perms, zoo_perm, zoo_perm_with_shift
+from conftest import rand_affine, sd_perms, sym, zoo_perm, zoo_perm_with_shift
 
 from demaz import (
     NotSubmodular,
     ParseError,
     ResidueClass,
+    ResourceLimit,
     apply,
     compose,
     eval_s,
@@ -37,6 +38,7 @@ from demaz import (
     star,
     write_slipface,
 )
+from demaz.slipface import perm_box, rank_table
 
 
 def test_eval_agrees_with_perm_everywhere(rng):
@@ -56,6 +58,64 @@ def test_eval_grid_matches_pointwise(rng):
         for i, a in enumerate(range(-18, 19)):
             for j, b in enumerate(range(-14, 15)):
                 assert g[i, j] == sf_eval(s, a, b)
+
+
+def _rank_table_members(rng):
+    """Zoo members, shifted affines of periods 2-7 and star(affine, S_d),
+    whose tails differ from one period to the next."""
+    out = [zoo_perm(rng) for _ in range(12)]
+    for k in range(2, 8):
+        a = rand_affine(rng, k, 1)
+        out.append(compose(make_shift(rng.randint(-9, 9)), a))
+        out.append(star(a, sym(rng, rng.randint(2, 5), rng.randint(-4, 4))))
+    return out
+
+
+def _eval_table(p, a0, a1, b0, b1):
+    return [[eval_s(p, a, b) for b in range(b0, b1 + 1)] for a in range(a0, a1 + 1)]
+
+
+def test_rank_tables_match_eval_s(rng):
+    # eval_s counts pointwise, independently of the tabulation that both the
+    # grids and the Bruhat comparison read
+    for p in _rank_table_members(rng):
+        _, _, c0, c1 = perm_box(p)
+        box = (c0, c1, c0, c1)
+        assert rank_table(p, *box).tolist() == _eval_table(p, *box), p
+        for where in ("left", "right", "straddle", "far"):
+            w = rng.randint(0, 9)
+            if where == "left":
+                b1 = p.lo - rng.randint(1, 9)
+                b0 = b1 - w
+            elif where == "right":
+                b0 = p.hi + rng.randint(1, 9)
+                b1 = b0 + w
+            elif where == "straddle":
+                b0, b1 = p.lo - rng.randint(0, 4), p.hi + rng.randint(0, 4)
+            else:
+                b0 = rng.choice((-1, 1)) * 10**5 + rng.randint(-9, 9)
+                b1 = b0 + w
+            a0 = b0 + rng.randint(-15, 15)
+            a1 = a0 + rng.randint(0, 12)
+            want = _eval_table(p, a0, a1, b0, b1)
+            assert rank_table(p, a0, a1, b0, b1).tolist() == want, (p, a0, a1, b0, b1)
+
+
+def test_rank_table_checks_int64_range_first():
+    # the reach is the largest region or window bound plus the period and
+    # diff_bound, 1 each here
+    edge = 2**62 - 10
+    p = make_from_one_line([edge + 1, edge], edge)
+    box = (edge - 3, edge + 7, edge - 3, edge + 3)  # reach 2^62 - 1
+    assert rank_table(p, *box).tolist() == _eval_table(p, *box)
+    with pytest.raises(ResourceLimit, match=f"needs integers up to {2**62}, "
+                       f"over the int64 limit {2**62}"):
+        rank_table(p, edge - 3, edge + 8, edge - 3, edge + 3)
+    with pytest.raises(ResourceLimit, match="int64 limit"):
+        rank_table(make_shift(-(10**20)), 0, 2, 0, 2)
+    _, _, c0, c1 = perm_box(make_shift(10**6))
+    with pytest.raises(ResourceLimit, match="exceeds grid cap"):
+        rank_table(make_shift(10**6), c0, c1, c0, c1)
 
 
 def test_validate_clean_on_real_slipfaces(rng):
