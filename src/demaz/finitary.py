@@ -1,5 +1,5 @@
-"""The word-fold engine: products of period-1 and of globally periodic
-permutations without slipface grids.
+"""The word-fold engine: products of period-1 permutations, and of
+permutations with equal tails, without slipface grids.
 
 A period-1 permutation is T w, where T is the translation n -> n - chi (a
 length-0 element) and w moves finitely many integers.  Length-0 elements pass
@@ -23,13 +23,21 @@ swaps K - 1 and K).  The same factoring gives star(x, T v') = star(x T, v'),
 and the fold runs on one period of K entries: the word sorts one period of
 v'^-1 at its affine descents, O(K + l(v')) steps.
 
+A permutation has equal tails when both of its tails follow one globally
+periodic germ.  A pair of them that is not globally periodic folds the same
+way on one period of the M-periodic permutations equal to the operands on an
+interval around their windows; the middle of that period, read with the
+lcm K of the periods, is the product (``affine_product`` proves the margin).
+
 Each fold certifies itself: its word has exactly l(v) letters and the result
 has length l(x) plus (star) or minus (tll) the letters kept, all lengths
 counted independently (a Fenwick count in O(N log N) for period 1, Shi's
-formula in O(K^2) for affine operands); the result then passes
+formula in O(K^2) for affine operands); a periodized result also shows the
+germ product at both ends of its cut; the result then passes
 ``from_window`` validation.  Size caps are checked before any folding.  The
-slipface grid engine computes the same functions for every period and is the
-reference these paths are tested against.
+slipface grid engine computes the same functions for every period, serves
+the pairs with mixed tails, and is the reference these paths are tested
+against.
 """
 
 from __future__ import annotations
@@ -48,9 +56,8 @@ __all__ = [
     "tll",
     "tlr",
     "is_affine",
-    "affine_star",
-    "affine_tll",
-    "affine_tlr",
+    "has_equal_tails",
+    "affine_product",
 ]
 
 # (lo, vals, chi): alpha(lo + i) = vals[i], and alpha(n) = n - chi off the window
@@ -156,8 +163,21 @@ def is_affine(p: Permutation) -> bool:
     return all(v[i + k] == v[i] + k for i in range(len(v) - k))
 
 
-def _period(p: Permutation, k: int) -> list[int]:
-    return [apply(p, n) for n in range(k)]
+def has_equal_tails(p: Permutation) -> bool:
+    """Whether both tails follow the same affine germ: the displacement
+    alpha(n) - n on the window's first period equals that on its last
+    period, residue by residue.  Period-1 and globally periodic
+    permutations have equal tails."""
+    k, v = p.period, p.vals
+    end = len(v) - k
+    # the entry of the last period in the residue class of j
+    last = (end + (j - end) % k for j in range(k))
+    return all(v[j] - j == v[i] - i for j, i in zip(range(k), last))
+
+
+def _germ(p: Permutation, k: int) -> list[int]:
+    """One period [0, k) of the germ that p's first period repeats."""
+    return [_tail_apply(p.period, p.lo, p.vals[: p.period], n) for n in range(k)]
 
 
 def _period_inverse(vals: list[int]) -> list[int]:
@@ -236,9 +256,10 @@ def _affine_fold(x: list[int], v: list[int], ascents: bool) -> list[int]:
     # star(x, v) = star(x T, v'), and the same for tll
     c = _raw_chi(k, 0, v)
     v1 = [a + c for a in v]
-    m = max(abs(a - i) for i, a in enumerate(v1))
+    m = max(abs(a - i) for f in (x, v1) for i, a in enumerate(f))
     # the word has at most 2km letters (an inversion (i, n) of v' has
-    # n - i < 2m), and Shi's formula takes k^2 steps
+    # n - i < 2m), and Shi's formula takes k^2 steps; under the cap every
+    # difference it takes, below k + 2m, is far inside int64
     work = k * max(k, 2 * m)
     if work > _GRID_CELL_CAP:
         raise ResourceLimit(
@@ -264,32 +285,90 @@ def _affine_fold(x: list[int], v: list[int], ascents: bool) -> list[int]:
     return arr
 
 
-def _affine_operands(p: Permutation, q: Permutation) -> tuple[list[int], list[int]]:
+def _fold_kind(kind: str, x: list[int], v: list[int]) -> list[int]:
+    """One period of kind(x, v) for two k-periodic permutations given on
+    [0, k); tlr by the mirror tlr(x, v) = inverse(tll(inverse(v), inverse(x)))."""
+    if kind == "tlr":
+        r = _affine_fold(_period_inverse(v), _period_inverse(x), ascents=False)
+        return _period_inverse(r)
+    return _affine_fold(x, v, ascents=kind == "star")
+
+
+def _margin(p: Permutation, q: Permutation, k: int) -> tuple[int, int]:
+    """(P, X) of ``affine_product``: the periods of margin on each side of
+    the windows, and how far inside the M-period the cut begins."""
+    d = max(p.diff_bound, q.diff_bound)
+    e = p.diff_bound + q.diff_bound
+    return -(-(3 * d + 2 * e) // k) + 1, 2 * d + e
+
+
+def affine_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
+    """star, tll or tlr (by ``kind``) of two operands with equal tails.
+
+    Let A_p, A_q be the germs, K the lcm of the periods, and W = [lo, hi]
+    span the windows, less their first and last periods, of the operands
+    that are not globally periodic; each operand equals its germ off W.
+    Globally periodic pairs have no W and fold one period [0, K) as is.
+    Otherwise, with d = max(d_p, d_q), e = d_p + d_q, B = d + e,
+    X = 2d + e and P = ceil((B + X) / K) + 1, the fold runs on one period of
+    the M-periodic p^, q^ equal to p, q on [c, c + M), c = lo - P K,
+    M = K (ceil((hi - lo + 1) / K) + 2P); their values on [c, c + M) are a
+    complete residue system mod M, since p carries W onto A_p(W).  The
+    result is cut to [c + X, c + M - 1 - X] with period K.  Why that is r =
+    kind(p, q), with s_f(a, b) = #{n >= b : f(n) < a} and t_f(a, b) =
+    #{n < b : f(n) >= a} = s_f(a, b) - a + b - chi_f:
+
+    1. Each kind is an optimum over l: star min s_p(a, l) + s_q(l, b), tll
+       max s_p(a, l) - t_q(l, b), tlr max s_q(l, b) - t_p(a, l).  A step
+       l -> l + 1 changes the term by [q^-1(l) >= b] - [p(l) < a],
+       [q^-1(l) < b] - [p(l) < a], [q^-1(l) >= b] - [p(l) >= a]: by -1, 0,
+       0 below L = [min(a - d_p, b - d_q), max(a + d_p, b + d_q)] and by
+       +1, 0, 0 above it, so the optimum is attained on L.
+    2. Every result has diff_bound <= e: bounding the two counts on L gives
+       s_r(a, b) = 0 for a <= b - e and t_r(a, b) = 0 for a >= b + e.
+    3. s_p^(a, l) = s_p(a, l) when l >= c and a <= c + M - d_p (the points
+       n >= c + M are >= a under both), s_q^(l, b) = s_q(l, b) when b >= c
+       and l <= c + M - d_q, and chi and the diff bounds do not grow, so
+       by 1 the slipfaces of r^ and r agree for a, b in [c + 2d,
+       c + M - 2d], and by 2 (r(n) = a exactly when the mixed difference of
+       s_r at (a, n) is 1) r^(n) = r(n) on [c + X, c + M - 1 - X].
+    4. p and A_p agree off W and carry W onto the same set, so s_p(a, l) =
+       s_A_p(a, l) for l outside (lo, hi], and likewise for q.  By 1 the
+       slipfaces of r and G = kind(A_p, A_q) agree for a, b >= hi + d + 1
+       and for a, b <= lo - d, and by 2 r = G off [lo - B, hi + B].
+    5. c + X + K <= lo - B and c + M - X - K >= hi + 1 + B, so the cut's
+       first and last K entries follow G and the tail rule continues them.
+
+    Before the cut goes to ``from_window``, those 2K entries are checked
+    against G, folded on one period of the germs.
+    """
     for f in (p, q):
-        if not is_affine(f):
-            raise ValueError(f"the affine fold needs periodic operands, got {f!r}")
+        if not has_equal_tails(f):
+            raise ValueError(f"the affine fold needs equal tails, got {f!r}")
     k = math.lcm(p.period, q.period)
-    if k > get_max_window():
+    bent = [f for f in (p, q) if not is_affine(f)]
+    c, size, cut = 0, k, 0
+    if bent:
+        lo = min(f.lo + f.period for f in bent)
+        hi = max(f.hi - f.period for f in bent)
+        periods, cut = _margin(p, q, k)
+        c = lo - periods * k
+        size = k * (-(-(hi - lo + 1) // k) + 2 * periods)
+    if size > get_max_window():
         raise ResourceLimit(
-            f"affine period {k} exceeds window cap {get_max_window()}"
+            f"affine period {size} exceeds window cap {get_max_window()}"
         )
-    return _period(p, k), _period(q, k)
-
-
-def affine_star(p: Permutation, q: Permutation) -> Permutation:
-    """Greedy product of two globally periodic permutations."""
-    x, v = _affine_operands(p, q)
-    return from_window(len(x), 0, _affine_fold(x, v, ascents=True))
-
-
-def affine_tll(p: Permutation, q: Permutation) -> Permutation:
-    """Stingy left adjoint of two globally periodic permutations."""
-    x, v = _affine_operands(p, q)
-    return from_window(len(x), 0, _affine_fold(x, v, ascents=False))
-
-
-def affine_tlr(p: Permutation, q: Permutation) -> Permutation:
-    """Stingy right adjoint of two globally periodic permutations."""
-    x, v = _affine_operands(p, q)
-    r = _affine_fold(_period_inverse(v), _period_inverse(x), ascents=False)
-    return from_window(len(x), 0, _period_inverse(r))
+    x = [apply(p, n) - c for n in range(c, c + size)]
+    v = [apply(q, n) - c for n in range(c, c + size)]
+    r = [a + c for a in _fold_kind(kind, x, v)[cut : size - cut]]
+    if bent:
+        g = _fold_kind(kind, _germ(p, k), _germ(q, k))
+        w0 = c + cut
+        for i in (*range(k), *range(len(r) - k, len(r))):
+            n = w0 + i
+            if r[i] != g[n % k] + n - n % k:
+                raise InternalInconsistency(
+                    f"periodized {kind} of {p!r} and {q!r} leaves the germ "
+                    f"product at {n}"
+                )
+    return from_window(k, c + cut, r)

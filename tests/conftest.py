@@ -3,7 +3,9 @@
 The "zoo" samplers below draw from the families the library is built
 around: finite symmetric-group embeddings, pure shifts, periodic affine
 permutations of modulus 2 and 3, two-block permutations, and greedy
-products thereof.  Every sampler takes an explicit random.Random so each
+products thereof.  All of them have equal tails (both tails follow one
+affine germ); ``mixed_tails`` draws permutations whose tails differ.  Every
+sampler takes an explicit random.Random so each
 test is deterministic under its own seed.
 """
 
@@ -14,6 +16,7 @@ import pytest
 
 from demaz import (
     compose,
+    from_window,
     inverse,
     make_affine,
     make_from_one_line,
@@ -109,6 +112,20 @@ def sym(rng, d, off=1, chi=0):
     line = [v + off - 1 for v in rand_line(rng, d)]
     p = make_from_one_line(line, off)
     return compose(make_shift(chi), p) if chi else p
+
+
+def mixed_tails(rng):
+    """A permutation whose two tails follow different germs: the identity
+    below -k and a random block permutation of each [jk, jk + k) above k,
+    like ep(k=2, lo=-2; -2 -1 1 0); then inverted or shifted at random."""
+    k = rng.randint(2, 4)
+    block = list(range(k))
+    while block == sorted(block):
+        rng.shuffle(block)
+    p = from_window(k, -k, list(range(-k, 0)) + block)
+    if rng.random() < 0.5:
+        p = inverse(p)
+    return compose(make_shift(rng.randint(-3, 3)), p)
 
 
 def inversion_pairs(rng):

@@ -296,10 +296,62 @@ def test_extended_checks_rerun_affine_paths_on_the_grid(capsys, monkeypatch):
     ext = "--extended-checks"
     for verb in ("star", "tll", "tlr"):
         assert run(capsys, ext, verb, S7, "sigma_mod(1,4)")[0] == 0
-    monkeypatch.setitem(demazure._AFFINE, "tll", finitary.affine_star)
+    fold = finitary._fold_kind
+    monkeypatch.setattr(finitary, "_fold_kind", lambda kind, x, v: fold("star", x, v))
     code, out, err = run(capsys, ext, "tll", A3, A5)
     assert (code, out) == (3, "")
     assert "extended check failed: affine tll differs from the grid engine" in err
+
+
+# a finitary window near +-30 against an affine, and star(A3, sym(1; 3 1 2))
+F30, F_30 = "sym(29; 31 29 32 30)", "sym(-31; -29 -31 -28 -30)"
+X3 = "ep(k=3, lo=-2; -6 1 2 5 -3 4 0 7 8)"
+
+
+@pytest.mark.parametrize(
+    "verb, a, b, out",
+    [
+        ("star", A3, F30, "ep(k=3, lo=26; 28 29 24 32 31 34 27 35 30 37)"),
+        ("tll", A3, F30, "ep(k=3, lo=26; 28 29 24 27 31 32 34 35 30)"),
+        ("tlr", A3, F30, "ep(k=1, lo=0; 0)"),
+        ("star", A3, F_30, "ep(k=3, lo=-34; -32 -31 -36 -28 -29 -26 -33 -25 -30 -23)"),
+        ("tll", A3, F_30, "ep(k=3, lo=-34; -32 -31 -36 -33 -29 -28 -26 -25 -30)"),
+        ("tlr", A3, F_30, "ep(k=1, lo=0; 0)"),
+        ("star", F30, A3, "ep(k=3, lo=24; 26 21 28 31 24 32 30 27 34 35 29 37 38 33)"),
+        ("tll", F30, A3, "ep(k=1, lo=0; 0)"),
+        ("tlr", F30, A3, "ep(k=3, lo=26; 28 29 24 30 32 27 34 35 31 37 38 33)"),
+        ("star", X3, "sym(1; 2 3 1)", "ep(k=3, lo=-2; -6 1 2 5 4 -3 0 7 8)"),
+        ("tll", X3, "sym(1; 2 3 1)", "ep(k=3, lo=0; 2 -3 4)"),
+        ("tlr", X3, "sym(1; 2 3 1)", "ep(k=1, lo=0; 0)"),
+        ("star", "sym(-2; 0 -1 -2)", X3,
+         "ep(k=3, lo=-7; -5 -4 -9 0 -1 -6 1 2 5 -3 4 -2 7 8 3)"),
+        ("tll", "sym(-2; 0 -1 -2)", X3, "ep(k=1, lo=-3; -3 -1 -2 0)"),
+        ("tlr", "sym(-2; 0 -1 -2)", X3, "ep(k=3, lo=-2; -6 1 2 5 -3 4 0 7 8)"),
+    ],
+)
+def test_periodized_product_goldens(capsys, verb, a, b, out):
+    # bytes recorded from the grid engine, which computed these pairs before
+    # the periodized fold did
+    assert run(capsys, verb, a, b) == (0, out + "\n", "")
+
+
+def test_extended_checks_catch_a_wrong_periodized_fold(capsys, monkeypatch):
+    fold = finitary._fold_kind
+
+    def wrong(kind, x, v):
+        # swap two entries mid-period: the cut's end periods, and so the
+        # equal-tails check, still see the right values
+        r = fold(kind, x, v)
+        if len(r) > 3:
+            i = len(r) // 2
+            r[i], r[i + 1] = r[i + 1], r[i]
+        return r
+
+    assert run(capsys, "--extended-checks", "star", A3, F30)[0] == 0
+    monkeypatch.setattr(finitary, "_fold_kind", wrong)
+    code, out, err = run(capsys, "--extended-checks", "star", A3, F30)
+    assert (code, out) == (3, "")
+    assert "extended check failed: affine star differs from the grid engine" in err
 
 
 @pytest.mark.parametrize(
@@ -312,8 +364,10 @@ def test_extended_checks_rerun_affine_paths_on_the_grid(capsys, monkeypatch):
         (["compare", "leq", "sym(1; 2 1)",
           "ep(k=1, lo=0; -100000000000000000000 -99999999999999999999)"], 4),
         (["inverse", "shift(" + "9" * 5000 + ")"], 2),
+        # an affine period past int64 in the left operand of Shi's formula
+        (["star", "aff(2; 0 100000000000000000001)", "aff(2; 1 0)"], 4),
     ],
-    ids=["shift-1e6", "shift-1e19", "values-1e20", "5000-digits"],
+    ids=["shift-1e6", "shift-1e19", "values-1e20", "5000-digits", "affine-1e20"],
 )
 def test_huge_inputs_end_in_exit_codes(argv, code):
     src = os.path.dirname(os.path.dirname(demazure.__file__))

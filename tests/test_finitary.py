@@ -7,15 +7,20 @@ pairs, which reads rank tables on the left side's window, must give the grid
 comparison's verdict and witness cell.
 The inputs stress the shift factoring and the window arithmetic: large
 shifts on either side, windows far from 0, unequal two-block shuffles.
-Products of globally periodic operands have the affine fold as their second
-implementation, tested the same way on coprime periods and large shifts.
+Products of operands with equal tails have the affine fold as their second
+implementation: on one period of the lcm for globally periodic pairs, on one
+period of a periodization around the windows otherwise.  Both are tested the
+same way on coprime periods, large shifts, large diff bounds and windows far
+from 0; an associativity test mixes them with mixed-tail operands, which take
+the grid.
 """
 
 import random
+import sys
 
 import pytest
 
-from conftest import rand_affine, sym, zoo_perm
+from conftest import mixed_tails, rand_affine, sym, zoo_perm
 
 from demaz import (
     InternalInconsistency,
@@ -23,6 +28,7 @@ from demaz import (
     ResourceLimit,
     bruhat_leq_witness,
     compose,
+    from_window,
     inv_count,
     inverse,
     is_reduced_pair,
@@ -311,11 +317,164 @@ def test_affine_size_caps_apply_before_folding(rng, monkeypatch):
         tll(p, wide)
 
 
-def test_pairs_with_a_non_affine_operand_take_the_grid(rng):
+def test_only_mixed_tail_operands_take_the_grid(rng):
     a = rand_affine(rng, 3, 1)
-    mixed = star(a, sym(rng, 4))  # periodic tails that differ: not affine
-    assert not finitary.is_affine(mixed)
-    for p, q in ((mixed, a), (a, mixed), (sym(rng, 4), a), (a, make_gamma(2, 1))):
-        assert product_path(p, q) == "grid", (p, q)
+    s = sym(rng, 4)
+    bent = star(a, s)  # equal tails, but not globally periodic
+    assert finitary.has_equal_tails(bent) and not finitary.is_affine(bent)
+    for p, q in ((bent, a), (s, a), (a, make_gamma(2, 1)), (bent, s)):
+        assert product_path(p, q) == "affine", (p, q)
     assert product_path(make_shift(3), a) == "affine"
-    assert product_path(make_shift(3), sym(rng, 4)) == "finitary"
+    assert product_path(make_shift(3), s) == "finitary"
+    mixed = from_window(2, -2, [-2, -1, 1, 0])
+    assert not finitary.has_equal_tails(mixed)
+    for p, q in ((mixed, a), (s, mixed), (mixed, mixed_tails(rng))):
+        assert product_path(p, q) == "grid", (p, q)
+    for _ in range(20):
+        m = mixed_tails(rng)
+        assert not finitary.has_equal_tails(m), m
+        assert product_path(m, a) == product_path(s, m) == "grid"
+
+
+# ---------------------------------------------------------------------------
+# periodized fold: operands with equal tails, not both globally periodic
+
+
+def equal_tail_pool(rng):
+    """Operands like the benchmark's zoo: zoo members, affines of period 2
+    and 3 against S_d, star(affine, S_d), compose(S_d, affine) and shifted
+    members."""
+    pool = [zoo_perm(rng) for _ in range(10)]
+    for k in (2, 3, 2):
+        a, s = rand_affine(rng, k), sym(rng, rng.randint(2, 5), rng.randint(-3, 3))
+        pool += [a, s, star(a, s), compose(s, a)]
+    pool += [compose(make_shift(chi), p) for chi, p in zip((4, -6), pool[-2:])]
+    return pool
+
+
+def test_periodized_zoo_pairs_agree_with_grid(rng):
+    pool = equal_tail_pool(rng)
+    pairs = [
+        (p, q)
+        for p, q in zip(pool, pool[3:] + pool[:3])
+        if not (finitary.is_affine(p) and finitary.is_affine(q))
+        and not p.period == q.period == 1
+    ]
+    assert len(pairs) >= 10
+    for p, q in pairs:
+        assert_affine_agree(p, q)
+
+
+def test_periodized_coprime_periods_with_sd(rng):
+    for r in range(3):
+        a5, a7 = rand_affine(rng, 5, 1), rand_affine(rng, 7, 1)
+        s = sym(rng, rng.randint(3, 5), rng.randint(-2, 2))
+        assert_affine_agree(star(a5, s), a7)
+        assert_affine_agree(s, compose(a7, a5))
+        # transposition families: diff_bound 1, so the lcm sets the margin
+        sig5 = make_sigma_set(ResidueClass(r, 5))
+        bent7 = star(make_sigma_set(ResidueClass(r + 1, 7)), sym(rng, 3, r - 1))
+        assert_affine_agree(sig5, bent7)
+        assert_affine_agree(bent7, sig5)
+
+
+@pytest.mark.parametrize("chi", [50, -50, 31])
+def test_periodized_large_shifts(rng, chi):
+    a, s = rand_affine(rng, 3, 1), sym(rng, 4, rng.randint(-3, 3))
+    assert_affine_agree(compose(make_shift(chi), star(a, s)), a)
+    assert_affine_agree(s, compose(a, make_shift(-chi)))
+
+
+@pytest.mark.parametrize("off", [10**4, -(10**4) - 5])
+def test_periodized_windows_far_from_zero(rng, off):
+    a = rand_affine(rng, 2, 1)
+    s, t = sym(rng, 4, off), sym(rng, 5, off + 3, chi=2)
+    assert_affine_agree(star(a, s), t)
+    assert_affine_agree(t, compose(s, a))
+
+
+def test_periodized_large_diff_bound(rng):
+    wide = make_affine([30, 1, 2, 3, -26], 5)
+    s = sym(rng, 6, -2)
+    assert_affine_agree(wide, s)
+    assert_affine_agree(star(s, rand_affine(rng, 3, 3)), wide)
+
+
+def test_associativity_across_engines(rng):
+    # mixed-tail operands take the grid, equal-tail ones the folds, so each
+    # engine's products feed the other's
+    equal = [rand_affine(rng, 2, 1), star(rand_affine(rng, 3, 1), sym(rng, 3))]
+    equal += [sym(rng, 3, -1), make_gamma(1, 2)]
+    for _ in range(8):
+        ops = [rng.choice(equal), mixed_tails(rng), rng.choice(equal)]
+        rng.shuffle(ops)
+        a, b, c = ops
+        assert star(star(a, b), c) == star(a, star(b, c)), (a, b, c)
+
+
+def test_products_of_a_zoo_pass_build_no_grid(rng, monkeypatch):
+    calls = []
+    for name, mod in list(sys.modules.items()):
+        if name == "demaz" or name.startswith("demaz."):
+            for fn in ("grid_product", "sf_from_perm"):
+                if hasattr(mod, fn):
+                    f = getattr(mod, fn)
+                    spy = lambda *a, _f=f, _n=fn: calls.append(_n) or _f(*a)
+                    monkeypatch.setattr(mod, fn, spy)
+    pool = equal_tail_pool(rng)
+    for p, q in zip(pool, pool[5:] + pool[:5]):
+        assert product_path(p, q) != "grid"
+        for fast in FAST.values():
+            fast(p, q)
+        reduce(p, q, star(p, q))
+    assert calls == []
+    star(mixed_tails(rng), pool[0])  # the spies do see the grid engine
+    assert "grid_product" in calls and "sf_from_perm" in calls
+
+
+def test_periodized_certificates_fire(rng, monkeypatch):
+    p = make_sigma_set(ResidueClass(0, 5))
+    q = star(make_sigma_set(ResidueClass(1, 7)), sym(rng, 3, -1))
+    right = star(p, q)
+    margin = finitary._margin
+    # one period less margin brings the windows into the cut's end periods
+    monkeypatch.setattr(
+        finitary, "_margin", lambda *a: (margin(*a)[0] - 1, margin(*a)[1])
+    )
+    with pytest.raises(InternalInconsistency, match="leaves the germ product"):
+        star(p, q)
+    monkeypatch.setattr(finitary, "_margin", margin)
+    word = finitary._affine_word
+    monkeypatch.setattr(finitary, "_affine_word", lambda u, n: word(u, n)[:-1])
+    with pytest.raises(InternalInconsistency, match="letters, the operand"):
+        star(p, q)
+    monkeypatch.setattr(finitary, "_affine_word", word)
+    assert star(p, q) == right
+
+
+def test_periodized_size_caps_apply_before_folding(rng, monkeypatch):
+    def no_fold(*args):
+        raise AssertionError("folded past the size cap")
+
+    # lcm 35 and 3 periods of margin: M = 35 (1 + 2 * 3)
+    p, q = star(rand_affine(rng, 7, 1), sym(rng, 4)), rand_affine(rng, 5, 1)
+    monkeypatch.setattr(finitary, "_affine_word", no_fold)
+    monkeypatch.setattr(perm, "_max_window", 200)
+    with pytest.raises(ResourceLimit, match="affine period 245 exceeds window cap"):
+        star(p, q)
+    monkeypatch.setattr(perm, "_max_window", perm.DEFAULT_MAX_WINDOW)
+    monkeypatch.setattr(finitary, "_GRID_CELL_CAP", 245 * 245 - 1)
+    with pytest.raises(ResourceLimit, match="affine fold of period 245"):
+        tlr(p, q)
+
+
+def test_affine_fold_checks_both_operands_before_numpy(monkeypatch):
+    def no_numpy(*args):
+        raise AssertionError("reached Shi's formula past the size cap")
+
+    monkeypatch.setattr(finitary, "_affine_length", no_numpy)
+    huge = make_affine([0, 10**20 + 1], 2)
+    for fast in FAST.values():
+        for p, q in ((huge, make_affine([1, 0], 2)), (make_shift(1), huge)):
+            with pytest.raises(ResourceLimit, match=r"period 2 and diff_bound \d{20,} "):
+                fast(p, q)
