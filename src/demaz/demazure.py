@@ -3,15 +3,16 @@
 star(a, b) is the unique permutation whose slipface is the min-plus product
 of the factors' slipfaces; tll and tlr are the Bruhat-minimal solutions of
 the corresponding one-sided inequalities.  ``product_path`` picks the engine
-from the operands alone: when both have period 1 all three fold a reduced
-word on the windows (``finitary``); when both have equal tails (each follows
-one globally periodic germ on both sides) they fold an affine reduced word on
-one period, of the lcm of the periods or of a periodization around the
-windows; a pair with mixed tails goes through the slipface grid engine and
-reconstruction, which ``grid_product`` also exposes for every pair as the
-reference.  Generator inputs (disjoint adjacent transpositions) additionally
-have direct paths, ``star_sigma`` and ``tll_sigma``, which are kept as an
-independent cross-check.
+from the operands alone: when both have equal tails (each follows one
+globally periodic germ on both sides, as every period-1 permutation does)
+all three fold an affine reduced word on one period
+(``finitary.affine_product``): the union window for period-1 pairs, the lcm
+of the periods for globally periodic pairs, a periodization around the
+windows otherwise; a pair with mixed tails goes through the slipface grid
+engine and reconstruction, which ``grid_product`` also exposes for every
+pair as the reference.  Generator inputs (disjoint adjacent transpositions)
+additionally have direct paths, ``star_sigma`` and ``tll_sigma``, which are
+kept as an independent cross-check.
 
 A pair (a, b) is reduced when Inv(a) and Inv(b^-1) are disjoint, exactly
 when star(a, b) equals compose(a, b); the test is the inversion scan of
@@ -62,7 +63,6 @@ __all__ = [
 
 
 _GRID = {"star": sf_star, "tll": sf_tll, "tlr": sf_tlr}
-_FOLD = {"star": finitary.star, "tll": finitary.tll, "tlr": finitary.tlr}
 
 
 def grid_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
@@ -72,20 +72,15 @@ def grid_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
 
 
 def product_path(p: Permutation, q: Permutation) -> str:
-    """The engine that computes products of p and q: "finitary" when both
-    have period 1, "affine" when both have equal tails, else "grid"."""
-    if p.period == 1 and q.period == 1:
-        return "finitary"
+    """The engine that computes products of p and q: "affine" when both
+    have equal tails, else "grid"."""
     if finitary.has_equal_tails(p) and finitary.has_equal_tails(q):
         return "affine"
     return "grid"
 
 
 def _product(kind: str, p: Permutation, q: Permutation) -> Permutation:
-    path = product_path(p, q)
-    if path == "finitary":
-        r = _FOLD[kind](p, q)
-    elif path == "affine":
+    if product_path(p, q) == "affine":
         r = finitary.affine_product(kind, p, q)
     else:
         r = grid_product(kind, p, q)

@@ -72,7 +72,7 @@ class InconsistentSlipface(DemazError):
 
 
 class ClosureVerification(DemazError):
-    """A computed slipface failed validation even after box widening."""
+    """A computed slipface left its proven band or failed validation."""
 
 
 class NotDominated(DemazError):

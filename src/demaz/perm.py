@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -600,20 +601,27 @@ def inversions_in(p: Permutation, u_lo: int, u_hi: int) -> list[tuple[int, int]]
 
 
 def _inversions(seq: Sequence[int]) -> int:
-    """Pairs i < j with seq[i] > seq[j], counted with a Fenwick tree."""
-    if not seq:
-        return 0
+    """Pairs i < j with seq[i] > seq[j]: by bisecting into a sorted list of
+    the entries before (moves run in C) up to 4096 entries, else by Fenwick."""
+    if len(seq) <= 4096:
+        seen: list[int] = []
+        count = 0
+        for i, x in enumerate(seq):
+            j = bisect(seen, x)
+            count += i - j
+            seen.insert(j, x)
+        return count
     base = min(seq) - 1
     size = max(seq) - base
     tree = [0] * (size + 1)
     count = 0
-    for seen, x in enumerate(seq):
+    for n, x in enumerate(seq):
         i = x - base
         j, below = i, 0
         while j:
             below += tree[j]
             j &= j - 1
-        count += seen - below
+        count += n - below
         while i <= size:
             tree[i] += 1
             i += i & -i

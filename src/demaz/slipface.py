@@ -565,13 +565,30 @@ def _max_minus(S: np.ndarray, Td: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tropical(s: Slipface, t: Slipface, kind: str, widen: int = 0) -> Slipface:
+def _tropical(s: Slipface, t: Slipface, kind: str) -> Slipface:
+    """star (min-plus) or tll (max-minus) of s and t on one box, sized once
+    from the band bound band(u) <= B = S + T, S = band(s), T = band(t).
+
+    Each band exceeds its |chi|; each slipface dominates max{0, chi + a - b},
+    equals it for |a - b| >= its band, and drops by 0 or 1 per step of its
+    second argument; the dual t~(b, l) = t(l, b) - chi_t - l + b dominates
+    max{0, b - l - chi_t} and equals it for |l - b| >= T.
+    star, u(a, b) = min_l s(a, l) + t(l, b): u dominates its asymptote; for
+    a - b >= B, l = b + T gives it, and for b - a >= B, l = b - T gives 0.
+    tll, u(a, b) = max_l s(a, l) - t~(b, l): for a - b >= B, l = b - T
+    gives chi + a - b, each l < b + T at most s(a, l) - (b - l - chi_t) =
+    chi + a - b, each l >= b + T at most s(a, b + T) < chi + a - b; for
+    b - a >= B, large l gives 0, each l < a + S at most (a + S - l) -
+    (b - l - chi_t) < 0, each l >= a + S at most -t~(b, l) <= 0.
+    tlr, the dual of a tll of duals, keeps the bound, as duals keep bands.  A
+    cell off its asymptote past B, or a failed ``sf_validate``, raises
+    ``ClosureVerification``."""
     k = math.lcm(s.period, t.period)
     chi = s.chi + t.chi
-    guess = s.band + t.band
+    band = s.band + t.band
     lo = min(s.a_lo, s.b_lo, t.a_lo, t.b_lo)
     hi = max(s.a_hi, s.b_hi, t.a_hi, t.b_hi)
-    margin = (k + guess + 2) * (1 + widen)
+    margin = k + band + 2
     c0, c1 = lo - margin, hi + margin
     if (c1 - c0 + 1) ** 2 > _GRID_CELL_CAP:
         raise ResourceLimit(
@@ -590,21 +607,15 @@ def _tropical(s: Slipface, t: Slipface, kind: str, widen: int = 0) -> Slipface:
     A = np.arange(c0, c1 + 1, dtype=np.int64)[:, None]
     B = np.arange(c0, c1 + 1, dtype=np.int64)[None, :]
     delta = A - B
-    mism = g != np.maximum(0, chi + delta)
-    band = max(guess, abs(chi) + 1)
-    if np.any(mism):
-        band = max(band, int(np.abs(delta[mism]).max()) + 1)
-    if band + k + 2 > margin:
-        if widen < 3:
-            return _tropical(s, t, kind, widen + 1)
+    far = np.argwhere((g != np.maximum(0, chi + delta)) & (np.abs(delta) >= band))
+    if len(far):
+        a, b = (int(i) + c0 for i in far[0])
         raise ClosureVerification(
-            f"{kind} result band {band} will not stabilize within the box"
+            f"{kind} result leaves its asymptote at ({a}, {b}), past band {band}"
         )
     out = _mk(chi, k, band, c0, c0, g)
     bad = sf_validate(out)
     if bad:
-        if widen < 3:
-            return _tropical(s, t, kind, widen + 1)
         raise ClosureVerification(
             f"{kind} result failed validation: " + "; ".join(bad[:3])
         )

@@ -20,7 +20,7 @@ from demaz import (
     read_slipface,
     write_slipface,
 )
-from demaz import demazure, finitary, order
+from demaz import demazure, finitary, order, slipface
 from demaz.cli import main
 
 
@@ -191,6 +191,34 @@ def test_rankgrid_glue(capsys, tmp_path):
     assert sf_equal(read_slipface(out), sf_star(sf_from_perm(p), sf_from_perm(q)))
 
 
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ("mid", "error: star result failed validation: "),
+        ("corner", "error: star result leaves its asymptote at "),
+    ],
+)
+def test_rankgrid_glue_reports_a_corrupt_product(
+    capsys, tmp_path, monkeypatch, cell, message
+):
+    p, q = make_sigma_set([1]), make_sigma_set([2])
+    fa, fb = tmp_path / "a.rg", tmp_path / "b.rg"
+    fa.write_text(write_slipface(sf_from_perm(p), "rankgrid"))
+    fb.write_text(write_slipface(sf_from_perm(q), "rankgrid"))
+    min_plus = slipface._min_plus
+
+    def corrupt(S, T):
+        g = min_plus(S, T)
+        i, j = (len(g) // 2,) * 2 if cell == "mid" else (0, len(g) - 1)
+        g[i, j] += 1
+        return g
+
+    monkeypatch.setattr(slipface, "_min_plus", corrupt)
+    code, out, err = run(capsys, "rankgrid", "glue", str(fa), str(fb))
+    assert (code, out) == (3, "")
+    assert err.startswith(message), err
+
+
 def test_rankgrid_dim(capsys):
     code, out, _ = run(capsys, "rankgrid", "dim", "gamma(1,2)", "--genus", "4")
     assert code == 0
@@ -236,10 +264,11 @@ def test_extended_checks_rerun_finitary_paths_on_the_grid(capsys, monkeypatch):
     code, out, _ = run(capsys, ext, "compare", "leq", "gamma(2,3)", "gamma(1,2)")
     assert (code, out) == (1, "false witness=(1,0)\n")
 
-    monkeypatch.setitem(demazure._FOLD, "tll", demazure.star)
+    fold = finitary.affine_product
+    monkeypatch.setattr(finitary, "affine_product", lambda k, p, q: fold("star", p, q))
     code, out, err = run(capsys, ext, "tll", "sym(1; 3 2 1)", "sigma(1)")
     assert (code, out) == (3, "")
-    assert "extended check failed: finitary tll" in err
+    assert "extended check failed: affine tll" in err
     monkeypatch.setattr(order, "bruhat_leq_witness", lambda p, q: (False, (0, 0)))
     for a, b in (("shift(1)", "shift(0)"), (A3, A5)):
         code, _, err = run(capsys, ext, "compare", "leq", a, b)

@@ -1,18 +1,19 @@
 """The word-fold engine against the grid engine and the brute-force oracles.
 
-Period-1 products have two implementations: the word fold of demaz.finitary,
-which star/tll/tlr use, and the slipface grid engine, which serves every
-period.  Both must give the same permutations; Bruhat comparison of the same
-pairs, which reads rank tables on the left side's window, must give the grid
-comparison's verdict and witness cell.
-The inputs stress the shift factoring and the window arithmetic: large
-shifts on either side, windows far from 0, unequal two-block shuffles.
-Products of operands with equal tails have the affine fold as their second
-implementation: on one period of the lcm for globally periodic pairs, on one
-period of a periodization around the windows otherwise.  Both are tested the
-same way on coprime periods, large shifts, large diff bounds and windows far
-from 0; an associativity test mixes them with mixed-tail operands, which take
-the grid.
+Every product of two operands with equal tails has two implementations: the
+affine word fold of demaz.finitary, which star/tll/tlr use, and the slipface
+grid engine, which serves every pair.  Both must give the same permutations.
+The fold runs on one period: the union window for period-1 pairs, the lcm
+of the periods for globally periodic pairs, a periodization around the
+windows otherwise.  Period-1 pairs are tested on random S_d, against the
+extremal oracles, with large shifts on either side, windows far from 0 and
+unequal two-block shuffles; Bruhat comparison of the same pairs, which reads
+rank tables on the left side's window, must give the grid comparison's
+verdict and witness cell.  Periodic pairs are tested on coprime periods,
+large shifts, large diff bounds and windows far from 0; an associativity
+test mixes them with mixed-tail operands, which take the grid.  The word
+generator is checked on its own: its letters rebuild the inverse, each is a
+descent, and wrap letters occur exactly off the symmetric-group case.
 """
 
 import random
@@ -20,7 +21,7 @@ import sys
 
 import pytest
 
-from conftest import mixed_tails, rand_affine, sym, zoo_perm
+from conftest import mixed_tails, rand_affine, rand_line, sym, zoo_perm
 
 from demaz import (
     InternalInconsistency,
@@ -33,6 +34,7 @@ from demaz import (
     inverse,
     is_reduced_pair,
     make_affine,
+    make_from_one_line,
     make_gamma,
     make_shift,
     make_sigma_set,
@@ -206,8 +208,10 @@ def test_size_caps_apply_before_allocation(rng):
     from demaz import ResourceLimit
 
     far = sym(rng, 3, 2 * 10**6)
-    with pytest.raises(ResourceLimit, match="fold window"):
-        star(far, sym(rng, 3))
+    with pytest.raises(ResourceLimit, match=r"affine period \d+ exceeds window cap"):
+        star(far, make_sigma_set([1]))
+    # a globally periodic operand, here the identity, adds no window
+    assert star(far, sym(rng, 3)) == far
     wide = sym(rng, 7000)
     with pytest.raises(ResourceLimit, match="rank table"):
         bruhat_leq_witness(wide, wide)
@@ -269,6 +273,61 @@ def test_affine_length_is_the_inversion_count(rng):
         assert finitary._affine_length(vals) == brute, p
 
 
+def shift_free_period(p):
+    """One period [0, k) of p with its shift factored out, as the fold
+    takes it."""
+    return [p(n) + p.chi for n in range(p.period)]
+
+
+def crossing_affines():
+    """aff(2; 3 -2), its Demazure powers, and the powers of aff(3; 5 -2 0):
+    an inversion crosses every cut n | n + 1, so their words need wrap
+    letters."""
+    a, b = make_affine([3, -2], 2), make_affine([5, -2, 0], 3)
+    out = [a, b]
+    for _ in range(3):
+        out += [star(out[-2], a), compose(out[-1], b)]
+    return out
+
+
+def test_affine_word_spells_the_inverse_by_descents(rng):
+    crossing = crossing_affines()
+    elements = list(crossing)
+    for _ in range(60):
+        k = rng.randint(2, 7)
+        elements.append(rand_affine(rng, k, rng.randint(0, 30 // k)))
+    for p in elements:
+        u = shift_free_period(p)
+        k = len(u)
+        word = finitary._affine_word(list(u), 10**9)
+        assert len(word) == finitary._affine_length(u), p
+        # a wrap letter occurs exactly when the period does not map onto
+        # an interval
+        assert (k - 1 in word) != finitary._interval(u), (p, word)
+        assert p not in crossing or k - 1 in word, (p, word)
+        # replaying the word on u swaps a descent every time and ends at
+        # the identity; on the identity it builds u^-1
+        w, e = list(u), list(range(k))
+        for j in word:
+            right = w[0] + k if j == k - 1 else w[j + 1]
+            assert w[j] > right, (p, word)
+            for arr in (w, e):
+                if j < k - 1:
+                    arr[j], arr[j + 1] = arr[j + 1], arr[j]
+                else:
+                    arr[0], arr[j] = arr[j] - k, arr[0] + k
+        assert w == list(range(k)), p
+        assert e == finitary._period_inverse(u), p
+
+
+def test_symmetric_group_words_take_no_wrap_letter(rng):
+    for d in (1, 2, 5, 12, 40):
+        u = [a - 1 for a in rand_line(rng, d)]
+        word = finitary._affine_word(list(u), 10**9)
+        assert d - 1 not in word
+        assert len(word) == finitary._affine_length(u) == perm._inversions(u)
+
+
 def test_affine_certificates_fire(rng, monkeypatch):
     p = rand_affine(rng, 5, 2)
     q = inverse(compose(p, make_shift(2)))
@@ -324,8 +383,8 @@ def test_only_mixed_tail_operands_take_the_grid(rng):
     assert finitary.has_equal_tails(bent) and not finitary.is_affine(bent)
     for p, q in ((bent, a), (s, a), (a, make_gamma(2, 1)), (bent, s)):
         assert product_path(p, q) == "affine", (p, q)
-    assert product_path(make_shift(3), a) == "affine"
-    assert product_path(make_shift(3), s) == "finitary"
+    for p, q in ((make_shift(3), a), (make_shift(3), s), (s, make_gamma(1, 2))):
+        assert product_path(p, q) == "affine", (p, q)
     mixed = from_window(2, -2, [-2, -1, 1, 0])
     assert not finitary.has_equal_tails(mixed)
     for p, q in ((mixed, a), (s, mixed), (mixed, mixed_tails(rng))):
@@ -398,6 +457,51 @@ def test_periodized_large_diff_bound(rng):
     s = sym(rng, 6, -2)
     assert_affine_agree(wide, s)
     assert_affine_agree(star(s, rand_affine(rng, 3, 3)), wide)
+
+
+SHIFTED_LEFT = [0, 10, 50, 200]
+
+
+def shifted_pair(chi):
+    """compose(shift(chi), star(A3, S)) against A3: equal tails, and a left
+    operand whose diff bound grows with chi while its shift-0 factor stays."""
+    a = make_affine([2, -3, 4], 3)
+    return compose(make_shift(chi), star(a, make_from_one_line([3, 1, 4, 2]))), a
+
+
+def test_periodized_period_ignores_the_shifts(monkeypatch):
+    sizes = []
+    fold = finitary._fold_kind
+
+    def spy(kind, x, v):
+        sizes.append(len(x))
+        return fold(kind, x, v)
+
+    monkeypatch.setattr(finitary, "_fold_kind", spy)
+    for chi in SHIFTED_LEFT:
+        p, a = shifted_pair(chi)
+        for fast in FAST.values():
+            sizes.clear()
+            fast(p, a)
+            # the first fold is the M-period, the second the germs
+            assert sizes == [sizes[0], 3] and sizes[0] > 3, (chi, sizes)
+            if chi == 0:
+                m0 = sizes[0]
+            assert sizes[0] == m0, (chi, sizes, m0)
+
+
+@pytest.mark.parametrize("chi", SHIFTED_LEFT)
+def test_shifted_periodized_pairs_agree_with_grid(chi):
+    p, a = shifted_pair(chi)
+    if chi <= 50:
+        assert_affine_agree(p, a)
+        return
+    # the grid's box grows with the shift, so at chi = 200 it computes the
+    # shift-0 factor instead, which step 0 of affine_product translates
+    assert product_path(p, a) == "affine"
+    p0 = compose(make_shift(-chi), p)
+    for kind, fast in FAST.items():
+        assert fast(p, a) == compose(make_shift(chi), grid(kind, p0, a)), kind
 
 
 def test_associativity_across_engines(rng):
