@@ -3,19 +3,19 @@ tails (both tails of each follow one globally periodic germ, as for every
 period-1 or globally periodic permutation and for star(aff, S_d)), without
 slipface grids.
 
-The shifts, which have length 0, are factored out of both operands, and
-the two shift-0 factors fold on one period of M-periodic permutations in
-the affine symmetric group, whose simple reflections s_0 ... s_{M-1} swap
-n, n + 1 in every period (s_{M-1} swaps M - 1 and M).  star(x, v) folds a
-reduced word s_j1 s_j2 ... of v into x from the right, swapping positions
-j, j + 1 only where the running result ascends; tll swaps only where it
-descends; tlr is the mirror tlr(x, v) = inverse(tll(inverse(v),
-inverse(x))) on the period arrays.  The word is what insertion sort spells
-on one period of v^-1, then wrap letters s_{M-1}: O(M + l(v)) list steps.
-The period is the union window for period-1 pairs (no wrap letter and no
-margin), the lcm K of the periods for globally periodic pairs, and else a
-periodization around the windows, cut back to period K;
-``affine_product`` proves all three.
+Shifts, which have length 0, are factored out of the operands where that
+shrinks the fold, and the two factors fold on one period of M-periodic
+permutations in the affine symmetric group, whose simple reflections s_0
+... s_{M-1} swap n, n + 1 in every period (s_{M-1} swaps M - 1 and M).
+star(x, v) folds a reduced word s_j1 s_j2 ... of v into x from the right,
+swapping positions j, j + 1 only where the running result ascends; tll
+swaps only where it descends; tlr is the mirror tlr(x, v) =
+inverse(tll(inverse(v), inverse(x))) on the period arrays.  The word is
+what insertion sort spells on one period of v^-1, then wrap letters
+s_{M-1}: O(M + l(v)) list steps.  The period is the union window for
+period-1 pairs (no wrap letter and no margin), the lcm K of the periods for
+globally periodic pairs, and else a periodization around the windows, cut
+back to period K; ``affine_product`` proves all three.
 
 Each fold certifies itself: the word has exactly l(v) letters, and the
 result's length is l(x) plus (star) or minus (tll) the letters kept, all
@@ -70,20 +70,10 @@ def has_equal_tails(p: Permutation) -> bool:
     return all(v[j] - j == v[i] - i for j, i in zip(range(k), last))
 
 
-def _germ(f: _Factor, k: int) -> list[int]:
-    """One period [0, k) of the germ that f's first period repeats."""
-    period, lo, vals, add = f
-    return [_tail_apply(period, lo, vals[:period], n) + add for n in range(k)]
-
-
 def _values(f: _Factor, c: int, size: int) -> list[int]:
     """f on [c, c + size), less c."""
     period, lo, vals, add = f
-    i = c - lo
-    add -= c
-    if 0 <= i and i + size <= len(vals):
-        return [a + add for a in vals[i : i + size]]
-    return [_tail_apply(period, lo, vals, n) + add for n in range(c, c + size)]
+    return [_tail_apply(period, lo, vals, n) + add - c for n in range(c, c + size)]
 
 
 def _period_inverse(vals: list[int]) -> list[int]:
@@ -174,9 +164,14 @@ def _fold_word(arr: list[int], word: list[int], ascents: bool) -> int:
 
 def _affine_fold(x: list[int], v: list[int], ascents: bool) -> list[int]:
     """One period of star(x, v) when ascents, else of tll(x, v), for one
-    period [0, k) of two k-periodic permutations of shift 0."""
+    period [0, k) of two k-periodic permutations."""
     k = len(x)
-    if not (_interval(x) and _interval(v)):
+    # v = T_s v' with T_s: n -> n - s of length 0 and v' of shift 0, so
+    # star(x, v) = star(x T_s, v'), and the same for tll
+    s = (k * (k - 1) // 2 - sum(v)) // k
+    arr = [x[(n - s) % k] + n - s - (n - s) % k for n in range(k)] if s else list(x)
+    v = [a + s for a in v] if s else v
+    if not (_interval(arr) and _interval(v)):
         m = max(abs(a - i) for f in (x, v) for i, a in enumerate(f))
         # the word has at most 2km letters (an inversion (i, n) of v has n - i
         # < 2m), and Shi's formula takes k^2 steps; under the cap every
@@ -194,7 +189,6 @@ def _affine_fold(x: list[int], v: list[int], ascents: bool) -> list[int]:
             f"affine fold word has {len(word)} letters, the operand has "
             f"length {length}"
         )
-    arr = list(x)
     before = _affine_length(arr)
     kept = _fold_word(arr, word, ascents)
     after = _affine_length(arr)
@@ -207,7 +201,7 @@ def _affine_fold(x: list[int], v: list[int], ascents: bool) -> list[int]:
 
 
 def _fold_kind(kind: str, x: list[int], v: list[int]) -> list[int]:
-    """One period of kind(x, v) for two k-periodic permutations of shift 0 on
+    """One period of kind(x, v) for two k-periodic permutations given on
     [0, k); tlr by the mirror tlr(x, v) = inverse(tll(inverse(v), inverse(x)))."""
     if kind == "tlr":
         r = _affine_fold(_period_inverse(v), _period_inverse(x), ascents=False)
@@ -216,38 +210,51 @@ def _fold_kind(kind: str, x: list[int], v: list[int]) -> list[int]:
 
 
 def _margin(p: _Factor, q: _Factor, k: int) -> tuple[int, int]:
-    """(P, X) of ``affine_product`` for the shift-0 factors p, q: periods of
-    margin beside the windows, and where the cut begins in the M-period."""
-    if k == 1:
-        return 1, 0
+    """(P, X) of ``affine_product`` for the factors p and q, K > 1."""
     dp, dq = (max(abs(a + add - n) for n, a in enumerate(vals, lo))
               for _, lo, vals, add in (p, q))
     d, e = max(dp, dq), dp + dq
     return -(-(3 * d + 2 * e) // k) + 1, 2 * d + e
 
 
+def _layout(k: int, fp: _Factor, fq: _Factor, bent: tuple[bool, bool]):
+    """(c, M, X) of ``affine_product`` for the factors fp, fq, of which
+    those flagged in bent are not globally periodic."""
+    spans = [f for f, flag in zip((fp, fq), bent) if flag]
+    if not spans:
+        return 0, k, 0
+    lo = min([start + period for period, start, _, _ in spans])
+    hi = max([start + len(vals) - 1 - period for period, start, vals, _ in spans])
+    periods, cut = _margin(fp, fq, k) if k > 1 else (1, 0)
+    return lo - periods * k, k * (-(-(hi - lo + 1) // k) + 2 * periods), cut
+
+
 def affine_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
     """star, tll or tlr (by ``kind``) of two operands with equal tails.
 
-    With T_chi: n -> n - chi, p = T_chi_p p' and q = q' T_chi_q, where the
-    factors p', q' have shift 0.  Let A_p, A_q be their germs, K the lcm of
-    the periods, and W = [lo, hi] span the windows, less their first and
-    last periods, of the factors that are not globally periodic; each
-    factor equals its germ off W.  Globally periodic pairs have no W and
-    fold one period [0, K) as is.  Otherwise, with d_p, d_q the diff bounds
-    of the factors, d = max(d_p, d_q), e = d_p + d_q, B = d + e, X = 2d + e
-    and P = ceil((B + X) / K) + 1 (for K = 1: P = 1 and X = 0), the fold
-    runs on one period of the M-periodic p^, q^ equal to p', q' on [c,
-    c + M), c = lo - P K, M = K (ceil((hi - lo + 1) / K) + 2P); their values
-    on [c, c + M) are a complete residue system mod M, since p' carries W
-    onto A_p(W).  The result is cut to [c + X, c + M - 1 - X] with period K.
-    Why that is r' = kind(p', q'), with s_f(a, b) = #{n >= b : f(n) < a}
-    and t_f(a, b) = #{n < b : f(n) >= a} = s_f(a, b) - a + b - chi_f:
+    With T_chi: n -> n - chi, p = T_u p' and q = q' T_w for a frame (u, w):
+    (chi_p, chi_q), in which the factors p', q' have shift 0, or (0, 0),
+    whichever gives the smaller M below (K = 1 takes the first, and a tie
+    the second), so M never exceeds its size for p and q themselves.  Let
+    A_p, A_q be the factors' germs, K the lcm of the periods, and W = [lo,
+    hi] span the windows, less their first and last periods, of the factors
+    that are not globally periodic; each factor equals its germ off W.
+    Globally periodic pairs have no W and fold one period [0, K) as is.
+    Otherwise, with d_p, d_q the diff bounds of the factors, d = max(d_p,
+    d_q), e = d_p + d_q, B = d + e, X = 2d + e and P = ceil((B + X) / K) +
+    1 (for K = 1: P = 1 and X = 0), the fold runs on one period of the
+    M-periodic p^, q^ equal to p', q' on [c, c + M), c = lo - P K,
+    M = K (ceil((hi - lo + 1) / K) + 2P); their values on [c, c + M) are a
+    complete residue system mod M, since p' carries W onto A_p(W).  The
+    result is cut to [c + X, c + M - 1 - X] with period K.  Why that is
+    r' = kind(p', q'), with s_f(a, b) = #{n >= b : f(n) < a} and t_f(a, b)
+    = #{n < b : f(n) >= a} = s_f(a, b) - a + b - chi_f:
 
     0. s_{T_chi f}(a, b) = s_f(a + chi, b) and s_{f T_chi}(a, b) = s_f(a,
        b - chi), and t likewise, so each optimum in 1 commutes with the
-       factoring: kind(p, q) = T_chi_p r' T_chi_q.  Below, p and q stand for
-       p' and q', of shift 0.
+       factoring: kind(p, q) = T_u r' T_w.  Below, p and q stand for p'
+       and q'.  ``_affine_fold`` moves its word operand's shift the same
+       way before it spells the word.
     1. Each kind is an optimum over l: star min s_p(a, l) + s_q(l, b), tll
        max s_p(a, l) - t_q(l, b), tlr max s_q(l, b) - t_p(a, l).  A step
        l -> l + 1 changes the term by [q^-1(l) >= b] - [p(l) < a],
@@ -269,37 +276,36 @@ def affine_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
     5. c + X + K <= lo - B and c + M - X - K >= hi + 1 + B, so the cut's
        first and last K entries follow G and the tail rule continues them.
 
-    For K = 1 no margin is needed: p and q move only integers of W, so
-    p^, q^ (M = hi - lo + 3) lie in the parabolic subgroup generated by
-    the s_j with j, j + 1 in [c, c + M), which acts on each period as the
-    symmetric group of [c, c + M) does (Bjorner-Brenti, Combinatorics of
-    Coxeter Groups, ch. 8).  A reduced word of q (of p^-1 for tlr) there is
-    reduced in the affine group and has no wrap letter, so each fold swaps
-    the same positions as the fold of p and q on [c, c + M): r^ = r there,
-    and both fix c and c + M - 1.  Before the cut goes to ``from_window``,
-    its first and last K entries are checked against G, folded on one
-    period of the germs (the identity when K = 1).
+    For K = 1 no margin is needed: p and q, of shift 0, move only integers
+    of W, so p^, q^ (M = hi - lo + 3) lie in the parabolic subgroup
+    generated by the s_j with j, j + 1 in [c, c + M), which acts on each
+    period as the symmetric group of [c, c + M) does (Bjorner-Brenti,
+    Combinatorics of Coxeter Groups, ch. 8).  A reduced word of q (of p^-1
+    for tlr) there is reduced in the affine group and has no wrap letter,
+    so each fold swaps the same positions as the fold of p and q on [c, c +
+    M): r^ = r there, and both fix c and c + M - 1.  Before the cut goes to
+    ``from_window``, its first and last K entries are checked against G,
+    folded on one period of the germs (the identity when K = 1).
     """
     for f in (p, q):
         if not has_equal_tails(f):
             raise ValueError(f"the affine fold needs equal tails, got {f!r}")
     k = math.lcm(p.period, q.period)
-    # the factors: p'(n) = p(n) + chi_p and q'(n) = q(n + chi_q)
-    fp = p.period, p.lo, p.vals, p.chi
-    fq = q.period, q.lo - q.chi, q.vals, 0
-    bent = [f for f, g in ((fp, p), (fq, q)) if not is_affine(g)]
-    c, size, cut = 0, k, 0
-    if bent:
-        lo = min([start + period for period, start, _, _ in bent])
-        hi = max([start + len(vals) - 1 - period for period, start, vals, _ in bent])
-        periods, cut = _margin(fp, fq, k)
-        c = lo - periods * k
-        size = k * (-(-(hi - lo + 1) // k) + 2 * periods)
+    bent = (not is_affine(p), not is_affine(q))
+    # the factors p'(n) = p(n) + u and q'(n) = q(n + w) of each frame (u, w)
+    frames = [(0, 0), (p.chi, q.chi)] if k > 1 else [(p.chi, q.chi)]
+    options = []
+    for u, w in frames:
+        fp, fq = (p.period, p.lo, p.vals, u), (q.period, q.lo - w, q.vals, 0)
+        options.append((_layout(k, fp, fq, bent), fp, fq, u, w))
+    (c, size, cut), fp, fq, u, w = min(options, key=lambda o: o[0][1])
     if size > (cap := get_max_window()):
         raise ResourceLimit(f"affine period {size} exceeds window cap {cap}")
     r = _fold_kind(kind, _values(fp, c, size), _values(fq, c, size))
-    if bent:
-        g = _fold_kind(kind, _germ(fp, k), _germ(fq, k)) if k > 1 else [0]
+    if any(bent):
+        # the germs: each factor's first period repeated, on [0, K)
+        germs = [_values((t, lo, v[:t], add), 0, k) for t, lo, v, add in (fp, fq)]
+        g = _fold_kind(kind, *germs) if k > 1 else [0]
         for i in (*range(cut, cut + k), *range(size - cut - k, size - cut)):
             n = c + i
             if r[i] + c != g[n % k] + n - n % k:
@@ -307,4 +313,4 @@ def affine_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
                     f"periodized {kind} of {p!r} and {q!r} leaves the germ "
                     f"product at {n}"
                 )
-    return from_window(k, c + cut + q.chi, [a + c - p.chi for a in r[cut : size - cut]])
+    return from_window(k, c + cut + w, [a + c - u for a in r[cut : size - cut]])

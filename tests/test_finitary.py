@@ -10,10 +10,12 @@ extremal oracles, with large shifts on either side, windows far from 0 and
 unequal two-block shuffles; Bruhat comparison of the same pairs, which reads
 rank tables on the left side's window, must give the grid comparison's
 verdict and witness cell.  Periodic pairs are tested on coprime periods,
-large shifts, large diff bounds and windows far from 0; an associativity
-test mixes them with mixed-tail operands, which take the grid.  The word
-generator is checked on its own: its letters rebuild the inverse, each is a
-descent, and wrap letters occur exactly off the symmetric-group case.
+large shifts, large diff bounds, windows far from 0 and shifted operands in
+both frames of the shift factoring, with a spy on the period size; an
+associativity test mixes them with mixed-tail operands, which take the
+grid.  The word generator is checked on its own: its letters rebuild the
+inverse, each is a descent, and wrap letters occur exactly off the
+symmetric-group case.
 """
 
 import random
@@ -210,8 +212,10 @@ def test_size_caps_apply_before_allocation(rng):
     far = sym(rng, 3, 2 * 10**6)
     with pytest.raises(ResourceLimit, match=r"affine period \d+ exceeds window cap"):
         star(far, make_sigma_set([1]))
-    # a globally periodic operand, here the identity, adds no window
-    assert star(far, sym(rng, 3)) == far
+    # a globally periodic operand, the identity drawn here, adds no window
+    e = sym(rng, 3)
+    assert e == make_shift(0)
+    assert star(far, e) == far
     wide = sym(rng, 7000)
     with pytest.raises(ResourceLimit, match="rank table"):
         bruhat_leq_witness(wide, wide)
@@ -502,6 +506,43 @@ def test_shifted_periodized_pairs_agree_with_grid(chi):
     p0 = compose(make_shift(-chi), p)
     for kind, fast in FAST.items():
         assert fast(p, a) == compose(make_shift(chi), grid(kind, p0, a)), kind
+
+
+def counter_shifted_pair(chi):
+    """compose(shift(chi), w) against A3, where w = compose(C, A3) and the
+    cycle C moves 1 up by 2 chi: the left operand's diff bound is about chi
+    and that of its shift-0 factor w about 2 chi."""
+    a = make_affine([2, -3, 4], 3)
+    n = 2 * chi + 1
+    w = compose(make_from_one_line([n, *range(1, n)]), a)
+    return compose(make_shift(chi), w), a
+
+
+@pytest.mark.parametrize("chi", [3, 10])
+def test_counter_shifted_pairs_agree_with_grid(chi):
+    assert_affine_agree(*counter_shifted_pair(chi))
+
+
+def test_factoring_the_shifts_never_grows_the_period(monkeypatch):
+    sizes = []
+    fold = finitary._fold_kind
+
+    def spy(kind, x, v):
+        sizes.append(len(x))
+        return fold(kind, x, v)
+
+    monkeypatch.setattr(finitary, "_fold_kind", spy)
+    # the shift-0 factors would need M = 6648, past the work cap of Shi's
+    # formula; the operands as they are need M = 3678
+    p, a = counter_shifted_pair(300)
+    as_is = (p.period, p.lo, p.vals, 0), (a.period, a.lo, a.vals, 0)
+    factored = (p.period, p.lo, p.vals, p.chi), (a.period, a.lo, a.vals, 0)
+    assert finitary._layout(3, *as_is, (True, False))[1] == 3678
+    assert finitary._layout(3, *factored, (True, False))[1] == 6648
+    for fast in FAST.values():
+        sizes.clear()
+        fast(p, a)
+        assert sizes == [3678, 3], sizes
 
 
 def test_associativity_across_engines(rng):

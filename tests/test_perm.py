@@ -2,6 +2,7 @@
 
 import doctest
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -157,6 +158,25 @@ def test_inv_count_known_values():
     assert inv_count(make_sigma_set([1, 5])) == 2
     # brute pair scan over [1,9]^2: 4+4+1+4+1+3+2+1
     assert inv_count(make_from_one_line((5, 6, 2, 8, 3, 9, 7, 4, 1))) == 20
+
+
+@pytest.mark.parametrize("n", [0, 1, 48, 4096, 4097, 6000])
+def test_inversion_count_on_both_sides_of_the_bisect_limit(rng, n):
+    # _inversions bisects up to 4096 entries and uses a Fenwick tree above;
+    # both must match a pairwise numpy count, on shuffled values with gaps
+    # and repeats and on a nearly sorted run
+    shuffled = [rng.randrange(-2 * n, 2 * n + 1) for _ in range(n)]
+    nearly = list(range(n))
+    for _ in range(n // 50):
+        i, j = rng.randrange(n), rng.randrange(n)
+        nearly[i], nearly[j] = nearly[j], nearly[i]
+    for seq in (shuffled, nearly):
+        a = np.array(seq, dtype=np.int64)
+        pairs = sum(
+            int(np.count_nonzero(np.triu(a[i : i + 512, None] > a[None, :], i + 1)))
+            for i in range(0, n, 512)
+        )
+        assert perm._inversions(seq) == pairs
 
 
 def test_inv_count_infinite():
