@@ -20,18 +20,17 @@ back to period K; ``affine_product`` proves all three.
 Each fold certifies itself: the word has exactly l(v) letters, and the
 result's length is l(x) plus (star) or minus (tll) the letters kept, all
 lengths counted independently (the inversions of the period when it maps
-onto an interval, Shi's formula otherwise).  A periodized result also shows
-the germ product at both ends of its cut, and every result passes
-``from_window`` validation.  Size caps are checked before any folding.  The
-slipface grid engine, which serves mixed tails, is the reference.
+onto an interval, otherwise a sort and two inversion counts).  A
+periodized result also shows the germ product at both ends of its cut, and
+every result passes ``from_window`` validation.  Size caps are checked
+before any folding.  The slipface grid engine, which serves mixed tails, is
+the reference.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect
-
-import numpy as np
 
 from .errors import InternalInconsistency, ResourceLimit
 from .perm import Permutation, from_window, get_max_window
@@ -93,20 +92,21 @@ def _interval(vals: list[int]) -> bool:
 
 
 def _affine_length(vals: list[int]) -> int:
-    """Length of the k-periodic permutation with period vals: the number of
-    inversions (i, n) with 0 <= i < k and i < n.  That is the inversion count
-    of vals when one period maps onto an interval, and otherwise Shi's
-    formula, the sum over 0 <= i < j < k of |floor((w(j) - w(i)) / k)|."""
+    """Length of the k-periodic permutation w with period vals: the number
+    of inversions (i, n) with 0 <= i < k and i < n.  That is the inversion
+    count of vals when one period maps onto an interval.  Otherwise, for i, j
+    in [0, k), the class of j holds ceil((w(i) - w(j)) / k) - [j <= i] of
+    them when w(j) < w(i) and none else; with w(i) = k q_i + r_i, 0 <= r_i
+    < k, the ceiling is q_i - q_j + [r_i > r_j].  Summed over the pairs of
+    values, sorted as v_0 < ... < v_{k-1}, that is the sum of floor(v_a / k)
+    (2a - k + 1), plus the inversions of vals, less those of the residues
+    (v_a mod k)_a: a sort and two inversion counts, not k^2 / 2 terms."""
     k = len(vals)
     if _interval(vals):
         return _inversions(vals)
-    w = np.array([v - vals[0] for v in vals], dtype=np.int64)
-    rows = max(1, 2**20 // k)
-    total = 0
-    for i0 in range(0, k, rows):
-        d = np.abs((w[None, :] - w[i0 : i0 + rows, None]) // k)
-        total += int(np.triu(d, i0 + 1).sum())
-    return total
+    w = sorted(vals)
+    rise = sum(v // k * (2 * a - k + 1) for a, v in enumerate(w))
+    return rise + _inversions(vals) - _inversions([v % k for v in w])
 
 
 def _affine_word(u: list[int], limit: int) -> list[int]:
@@ -174,8 +174,9 @@ def _affine_fold(x: list[int], v: list[int], ascents: bool) -> list[int]:
     if not (_interval(arr) and _interval(v)):
         m = max(abs(a - i) for f in (x, v) for i, a in enumerate(f))
         # the word has at most 2km letters (an inversion (i, n) of v has n - i
-        # < 2m), and Shi's formula takes k^2 steps; under the cap every
-        # difference it takes, below k + 4m, is far inside int64
+        # < 2m), and _affine_word's insertion sort moves up to k^2 slice
+        # entries; the cap bounds both, and the value spread, below k + 4m,
+        # that _inversions' Fenwick tree spans
         work = k * max(k, 2 * m)
         if work > _GRID_CELL_CAP:
             raise ResourceLimit(

@@ -42,9 +42,7 @@ import math
 import operator
 from bisect import bisect
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     InfiniteInversions,
@@ -53,6 +51,9 @@ from .errors import (
     InvalidPermutation,
     ResourceLimit,
 )
+
+if TYPE_CHECKING:  # annotations only; numpy loads where arrays are built
+    import numpy as np
 
 __all__ = [
     "Permutation",
@@ -544,6 +545,7 @@ def has_inversion(p: Permutation, u: int, v: int) -> bool:
 def _relative_images(p: Permutation, n0: int, n1: int) -> np.ndarray:
     """alpha(n) - n0 for n in [n0, n1]; relative to n0 they stay within
     diff_bound of the band, so int64 holds them wherever the band lies."""
+    import numpy as np
     return np.array([apply(p, n) - n0 for n in range(n0, n1 + 1)], dtype=np.int64)
 
 
@@ -594,6 +596,7 @@ def first_inversion(
 
 def inversions_in(p: Permutation, u_lo: int, u_hi: int) -> list[tuple[int, int]]:
     """All inversions (u, v) with u in [u_lo, u_hi], in (u, v) order."""
+    import numpy as np
     out = []
     for d, (mask,) in _inversion_masks((p,), u_lo, u_hi, 2 * p.diff_bound):
         out.extend((u_lo + int(i), u_lo + int(i) + d) for i in np.flatnonzero(mask))

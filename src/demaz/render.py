@@ -10,10 +10,12 @@ platform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .slipface import Slipface, sf_eval_grid
+
+if TYPE_CHECKING:  # annotations only; numpy loads where arrays are built
+    import numpy as np
 
 __all__ = ["RenderSpec", "render"]
 

@@ -33,9 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     AsymptoteMismatch,
@@ -47,6 +45,9 @@ from .errors import (
     ResourceLimit,
 )
 from .perm import Permutation, _relative_images, apply, from_window
+
+if TYPE_CHECKING:  # annotations only; numpy loads where arrays are built
+    import numpy as np
 
 __all__ = [
     "Slipface",
@@ -105,6 +106,7 @@ class Slipface:
 
 
 def _mk(chi: int, period: int, band: int, a_lo: int, b_lo: int, grid) -> Slipface:
+    import numpy as np
     band = max(band, abs(chi) + 1, 1)
     grid = np.ascontiguousarray(grid, dtype=np.int64)
     if grid.size > _GRID_CELL_CAP:
@@ -160,6 +162,7 @@ def sf_eval(s: Slipface, a: int, b: int) -> int:
 
 def sf_eval_grid(s: Slipface, a0: int, a1: int, b0: int, b1: int) -> np.ndarray:
     """Vectorized evaluation on the rectangle [a0, a1] x [b0, b1]."""
+    import numpy as np
     if (a1 - a0 + 1) * (b1 - b0 + 1) > _GRID_CELL_CAP:
         raise ResourceLimit("evaluation rectangle exceeds grid cell cap")
     A = np.arange(a0, a1 + 1, dtype=np.int64)[:, None]
@@ -217,6 +220,7 @@ def rank_table(p: Permutation, a0: int, a1: int, b0: int, b1: int) -> np.ndarray
     tail's classes are counted in closed form, and only when some n > b1 lies
     left of the window.
     """
+    import numpy as np
     cells = (a1 - a0 + 1) * (b1 - b0 + 1)
     if cells > _GRID_CELL_CAP:
         raise ResourceLimit(f"rank table of {cells} cells exceeds grid cap")
@@ -258,6 +262,7 @@ def sf_from_perm(p: Permutation) -> Slipface:
 
 def sf_dual(s: Slipface) -> Slipface:
     """The dual slipface s~(b, a) = s(a, b) - chi - a + b; an exact involution."""
+    import numpy as np
     A = np.arange(s.a_lo, s.a_hi + 1, dtype=np.int64)[:, None]
     B = np.arange(s.b_lo, s.b_hi + 1, dtype=np.int64)[None, :]
     dual = (s.grid - s.chi - A + B).T
@@ -272,6 +277,7 @@ def sf_from_rank_grid(
     ``m`` plays the band role: the table must already equal 0 where
     a - b <= -m and chi + a - b where a - b >= m, and must move in unit steps.
     """
+    import numpy as np
     grid = np.ascontiguousarray(grid, dtype=np.int64)
     nA, nB = grid.shape
     A = np.arange(a_lo, a_lo + nA, dtype=np.int64)[:, None]
@@ -324,6 +330,7 @@ def sf_validate(s: Slipface) -> list[str]:
     on all represented cells beyond the band (which also forces every row and
     column to reach its asymptote).
     """
+    import numpy as np
     out: list[str] = []
     g = _box_frame_grid(s)
     a0, b0 = s.a_lo - 1, s.b_lo - 1
@@ -373,6 +380,7 @@ def sf_is_submodular(s: Slipface) -> tuple[bool, tuple[int, int] | None]:
     box values along the diagonal or equals the asymptote, whose mixed
     difference is the 0/1 fold indicator.
     """
+    import numpy as np
     g = _box_frame_grid(s)
     dd = g[1:, :-1] - g[:-1, :-1] - g[1:, 1:] + g[:-1, 1:]
     bad = dd < 0
@@ -390,6 +398,7 @@ def sf_to_perm(s: Slipface) -> Permutation:
     around the box columns sees them all.  The result is verified: its own
     slipface must reproduce s on a region that pins the function everywhere.
     """
+    import numpy as np
     ok, cell = sf_is_submodular(s)
     if not ok:
         raise NotSubmodular("cannot invert a non-submodular slipface", cell)
@@ -428,6 +437,7 @@ def scan_region(*boxes: tuple[int, int, int, int]) -> tuple[int, int, tuple[int,
 
 def sf_equal(s: Slipface, t: Slipface) -> bool:
     """Equality as functions on all of Z^2."""
+    import numpy as np
     if s.chi != t.chi:
         return False
     lo, hi, _ = scan_region(s.box, t.box)
@@ -469,6 +479,7 @@ def ess_mask(g: np.ndarray) -> np.ndarray:
 
 def _ess_mask_points(s: Slipface, a0: int, a1: int, b0: int, b1: int):
     """Essential points with (a, b) in the given rectangle."""
+    import numpy as np
     g = sf_eval_grid(s, a0 - 1, a1 + 1, b0 - 1, b1 + 1)
     c = g[1:-1, 1:-1]
     return [
@@ -498,6 +509,7 @@ def sf_leq_grid(
     s: Slipface, t: Slipface
 ) -> tuple[bool, tuple[int, int] | None]:
     """Pointwise comparison by scanning the full certified band region."""
+    import numpy as np
     lo, hi, far = scan_region(s.box, t.box)
     if s.chi > t.chi:
         return False, far
@@ -531,6 +543,7 @@ def leq_at_ess(
     """Whether S <= T at the essential cells of S, with the first failing
     cell in (a, b) order.  T holds a rectangle starting at (a0, b0), and S
     the same rectangle with a one-cell frame."""
+    import numpy as np
     bad = ess_mask(S) & (S[1:-1, 1:-1] > T)
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
@@ -543,6 +556,7 @@ def leq_at_ess(
 
 
 def _min_plus(S: np.ndarray, T: np.ndarray) -> np.ndarray:
+    import numpy as np
     nA, nL = S.shape
     nB = T.shape[1]
     out = np.full((nA, nB), np.iinfo(np.int64).max // 4, dtype=np.int64)
@@ -554,6 +568,7 @@ def _min_plus(S: np.ndarray, T: np.ndarray) -> np.ndarray:
 
 
 def _max_minus(S: np.ndarray, Td: np.ndarray) -> np.ndarray:
+    import numpy as np
     # out[a, b] = max_l S[a, l] - Td[b, l]
     nA, nL = S.shape
     nB = Td.shape[0]
@@ -583,6 +598,7 @@ def _tropical(s: Slipface, t: Slipface, kind: str) -> Slipface:
     tlr, the dual of a tll of duals, keeps the bound, as duals keep bands.  A
     cell off its asymptote past B, or a failed ``sf_validate``, raises
     ``ClosureVerification``."""
+    import numpy as np
     k = math.lcm(s.period, t.period)
     chi = s.chi + t.chi
     band = s.band + t.band

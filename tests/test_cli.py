@@ -393,7 +393,7 @@ def test_extended_checks_catch_a_wrong_periodized_fold(capsys, monkeypatch):
         (["compare", "leq", "sym(1; 2 1)",
           "ep(k=1, lo=0; -100000000000000000000 -99999999999999999999)"], 4),
         (["inverse", "shift(" + "9" * 5000 + ")"], 2),
-        # an affine period past int64 in the left operand of Shi's formula
+        # an affine period past int64 in the left operand of the fold
         (["star", "aff(2; 0 100000000000000000001)", "aff(2; 1 0)"], 4),
     ],
     ids=["shift-1e6", "shift-1e19", "values-1e20", "5000-digits", "affine-1e20"],
@@ -407,3 +407,41 @@ def test_huge_inputs_end_in_exit_codes(argv, code):
     )
     assert proc.returncode == code, proc.stderr[-500:]
     assert "Traceback" not in proc.stderr
+
+
+# finitary, globally periodic and periodized pairs, all with equal tails
+FOLDED = [
+    ("sym(1; 3 1 4 2)", "sym(1; 2 1)"),
+    ("aff(3; 2 -3 4)", "aff(3; 5 -2 0)"),
+    ("aff(3; 2 -3 4)", "sym(1; 3 1 4 2)"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, numpy",
+    [
+        *[([verb, a, b], False) for verb in ("star", "tll", "tlr") for a, b in FOLDED],
+        (["compose", "aff(3; 2 -3 4)", "sym(1; 2 1)"], False),
+        (["inverse", "aff(3; 2 -3 4)"], False),
+        (["inv", "sym(1; 3 1 4 2)"], False),
+        (["validate", "aff(3; 2 -3 4)"], False),
+        (["oracle", "star", "sym(1; 2 1)", "sym(1; 1 3 2)"], False),
+        (["star", "--json", "aff(3; 2 -3 4)", "sym(1; 3 1 4 2)"], False),
+        # these build rank tables or grids, so the check cannot pass vacuously
+        (["compare", "leq", "sym(1; 2 1)", "sym(1; 3 2 1)"], True),
+        (["ess", "sym(1; 3 1 4 2)"], True),
+        (["star", "ep(k=2, lo=-2; -2 -1 1 0)", "sym(1; 2 1)"], True),
+    ],
+)
+def test_fold_verbs_never_import_numpy(argv, numpy):
+    src = os.path.dirname(os.path.dirname(demazure.__file__))
+    code = (
+        "import sys\nfrom demaz.cli import main\n"
+        "print(main(sys.argv[1:]), 'numpy' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.stdout.splitlines()[-1] == f"0 {numpy}", proc.stderr[-500:]

@@ -277,6 +277,52 @@ def test_affine_length_is_the_inversion_count(rng):
         assert finitary._affine_length(vals) == brute, p
 
 
+def shi_length(vals):
+    """Shi's formula, the sum over 0 <= i < j < k of |floor((w(j) - w(i)) /
+    k)|: the reference length of the k-periodic w with period vals."""
+    k = len(vals)
+    return sum(
+        abs((vals[j] - vals[i]) // k) for i in range(k) for j in range(i + 1, k)
+    )
+
+
+def random_period(rng, k, spread):
+    """One period of a k-periodic permutation: residues shuffled, each lifted
+    by up to spread periods, all moved by one offset (any shift)."""
+    res = list(range(k))
+    rng.shuffle(res)
+    offset = rng.randint(-10**9, 10**9)
+    return [r + k * rng.randint(-spread, spread) + offset for r in res]
+
+
+def test_affine_length_matches_shis_formula(rng):
+    for _ in range(400):
+        k = rng.randint(1, 40)
+        vals = random_period(rng, k, rng.choice((0, 1, 3, 100, 10**6)))
+        assert finitary._affine_length(vals) == shi_length(vals), vals
+    for _ in range(20):
+        vals = random_period(rng, 2, 10**7)
+        assert finitary._affine_length(vals) == shi_length(vals), vals
+    # past 4096 entries _inversions counts with a Fenwick tree
+    vals = random_period(rng, 5000, 2)
+    assert finitary._affine_length(vals) == shi_length(vals)
+
+
+def test_interval_shortcut_matches_the_general_sum(rng, monkeypatch):
+    # a period onto [c, c + k): its inversion count, and the general sum,
+    # whose two extra terms are then equal
+    periods = []
+    for _ in range(100):
+        c, k = rng.randint(-10**6, 10**6), rng.randint(1, 40)
+        vals = list(range(c, c + k))
+        rng.shuffle(vals)
+        periods.append(vals)
+    shortcut = [finitary._affine_length(v) for v in periods]
+    assert shortcut == [perm._inversions(v) for v in periods]
+    monkeypatch.setattr(finitary, "_interval", lambda vals: False)
+    assert [finitary._affine_length(v) for v in periods] == shortcut
+
+
 def shift_free_period(p):
     """One period [0, k) of p with its shift factored out, as the fold
     takes it."""
@@ -532,8 +578,8 @@ def test_factoring_the_shifts_never_grows_the_period(monkeypatch):
         return fold(kind, x, v)
 
     monkeypatch.setattr(finitary, "_fold_kind", spy)
-    # the shift-0 factors would need M = 6648, past the work cap of Shi's
-    # formula; the operands as they are need M = 3678
+    # the shift-0 factors would need M = 6648, past the affine fold's work
+    # cap; the operands as they are need M = 3678
     p, a = counter_shifted_pair(300)
     as_is = (p.period, p.lo, p.vals, 0), (a.period, a.lo, a.vals, 0)
     factored = (p.period, p.lo, p.vals, p.chi), (a.period, a.lo, a.vals, 0)
@@ -615,7 +661,7 @@ def test_periodized_size_caps_apply_before_folding(rng, monkeypatch):
 
 def test_affine_fold_checks_both_operands_before_numpy(monkeypatch):
     def no_numpy(*args):
-        raise AssertionError("reached Shi's formula past the size cap")
+        raise AssertionError("reached the length count past the size cap")
 
     monkeypatch.setattr(finitary, "_affine_length", no_numpy)
     huge = make_affine([0, 10**20 + 1], 2)
