@@ -76,12 +76,18 @@ def _emit_perm(p: Permutation, as_json: bool, extended: bool) -> None:
             raise DemazError("extended check failed: " + bad[0])
 
 
-def _load_slipface_arg(arg: str):
-    """A slipface from either a permutation expression or a grid file."""
+def _load_render_arg(arg: str):
+    """A slipface from a grid file, else a permutation expression."""
     if os.path.exists(arg):
         with open(arg, "r", encoding="utf-8") as fh:
             return read_slipface(fh.read())
-    return sf_from_perm(parse_perm(arg))
+    return parse_perm(arg)
+
+
+def _load_slipface_arg(arg: str):
+    """A slipface from either a permutation expression or a grid file."""
+    s = _load_render_arg(arg)
+    return sf_from_perm(s) if isinstance(s, Permutation) else s
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -162,7 +168,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_ess(args) -> int:
-    e = ess_set(sf_from_perm(parse_perm(args.a)))
+    p = parse_perm(args.a)
+    e = order.perm_ess_set(p)
+    if args.extended_checks and e != ess_set(sf_from_perm(p)):
+        raise DemazError("extended check failed: ess differs from the grid engine")
     if args.json:
         _emit_json(
             {
@@ -197,7 +206,7 @@ def _cmd_inv(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    s = _load_slipface_arg(args.a)
+    s = _load_render_arg(args.a)
     a_lo, a_hi = _parse_range(args.arange)
     b_lo, b_hi = _parse_range(args.brange)
     try:

@@ -2,10 +2,14 @@
 
 Bruhat comparison is pointwise comparison of the rank functions
 s_p(a, b) = #{n >= b : alpha(n) < a}, checked only at the essential cells of
-the smaller side, on tables from ``slipface.rank_table`` for every period.
-When both sides have period 1 the tables cover the left side's window, which
-holds all of its essential cells; otherwise they cover the square that the
-grid comparison ``sf_leq_ess`` scans, so verdict and witness cell are its own.
+the smaller side (Fulton's essential set; Bjorner-Brenti, Combinatorics of
+Coxeter Groups, Thm 8.3.7 for the affine symmetric group).  One sweep of
+``essential_cells`` reads those cells of p, with the values of s_p there,
+off the descents of p, and ``perm.eval_s_at`` counts s_q at them: exact
+integer counts, with no rank table and no numpy.  A period-1 left side has
+all of its cells in its window; any other is scanned on the square that the
+grid comparison ``sf_leq_ess`` scans, so verdict and witness cell are its
+own.
 
 The weak orders compare inversion sets with the one inversion scan of
 ``perm.first_inversion``: it decides the question exactly on the certified
@@ -15,18 +19,109 @@ the witness.
 
 from __future__ import annotations
 
-from .perm import Permutation, first_inversion, inverse
-from .slipface import leq_at_ess, perm_box, rank_table, scan_region
+from itertools import islice
+
+from .errors import ResourceLimit
+from .perm import (
+    Permutation,
+    _images,
+    _preimages,
+    eval_s,
+    eval_s_at,
+    first_inversion,
+    inverse,
+)
+from .slipface import _GRID_CELL_CAP, EssPoint, EssSet, perm_box, scan_region
 
 __all__ = [
     "bruhat_leq",
     "bruhat_leq_witness",
+    "essential_cells",
+    "perm_ess_set",
     "leq_chi",
     "weak_left_leq",
     "weak_left_leq_witness",
     "weak_right_leq",
     "weak_right_leq_witness",
 ]
+
+
+def essential_cells(
+    p: Permutation, a0: int, a1: int, b0: int, b1: int
+) -> list[tuple[int, list[int], list[int]]]:
+    """The essential cells of s_p in [a0, a1] x [b0, b1] with their values,
+    as (b, rows, s_p at those rows) for each column b that holds some, b and
+    rows ascending.
+
+    A cell is essential when s_p(a - 1, b) < s_p(a, b) = s_p(a + 1, b) and
+    s_p(a, b + 1) < s_p(a, b) = s_p(a, b - 1) (``slipface.ess_mask``).  The
+    four steps are [alpha^-1(a - 1) >= b], [alpha^-1(a) >= b], [alpha(b) <
+    a] and [alpha(b - 1) < a], so the cell is essential exactly when alpha(b)
+    < a <= alpha(b - 1) and a lies in X_b = {alpha(n) : n < b} while a - 1
+    does not.  The sweep keeps X_b on the values [v0, v1] that the rows and
+    columns reach as the bits of an integer x and reads each descent b - 1
+    off it in a few integer operations.  The same bits count s_p(a, b) = chi
+    + a - b + t_p(a, b): t_p(a, b) = #{n < b : alpha(n) >= a} is the number
+    of bits of x from a on, plus the E = t_p(v1 + 1, b0 - 1) integers n <
+    b0 - 1 with alpha(n) > v1, since alpha carries [b0 - 1, b1] into
+    [v0, v1]; one ``eval_s`` gives E."""
+    cells = max(a1 - a0 + 1, 0) * max(b1 - b0 + 1, 0)
+    if cells > _GRID_CELL_CAP:
+        raise ResourceLimit(
+            f"essential cells of [{a0}..{a1}]x[{b0}..{b1}] ({cells} cells) "
+            f"exceed cap {_GRID_CELL_CAP}"
+        )
+    if not cells:
+        return []
+    k, lo, vals = p.period, p.lo, p.vals
+    img = _images(k, lo, vals, b0 - 1, b1)
+    v0, v1 = min(a0 - 1, *img), max(a1, *img)
+    # bit i of x stands for the value v0 + i, set when its preimage is < b
+    pre = _preimages(k, lo, vals, v0, v1)
+    x = int("".join(["1" if n < b0 else "0" for n in reversed(pre)]), 2)
+    rows = (2 << (a1 - v0)) - (1 << (a0 - v0))
+    # s_p(v0 + i, b) = base - b + i + (bits of x from i on): chi cancels
+    base = v0 + eval_s(p, v1 + 1, b0 - 1) - v1 + b0 - 2
+    out = []
+    for b, up, down in zip(range(b0, b1 + 1), img, islice(img, 1, None)):
+        up -= v0
+        down -= v0
+        if up > down:
+            m = x & ~(x << 1) & rows & ((2 << up) - (2 << down))
+            if m:
+                col, values = [], []
+                while m:
+                    low = m & -m
+                    i = low.bit_length() - 1
+                    col.append(v0 + i)
+                    values.append(base - b + i + (x >> i).bit_count())
+                    m ^= low
+                out.append((b, col, values))
+        x |= 1 << down
+    return out
+
+
+def _region(p: Permutation, lo: int, hi: int) -> tuple[int, int, int, int]:
+    """Rows and columns that hold every essential cell of s_p in [lo, hi]^2,
+    a square around p's window: for period 1 only the window, since b and
+    b - 1 cannot both lie off it, nor a and a - 1 both off its image
+    [lo - chi, hi - chi], because alpha is the shift n -> n - chi off it."""
+    if p.period == 1:
+        return p.lo - p.chi + 1, p.hi - p.chi, p.lo + 1, p.hi
+    return lo, hi, lo, hi
+
+
+def perm_ess_set(p: Permutation) -> EssSet:
+    """ess_set(sf_from_perm(p)) without the grid: the essential points in
+    the box of perm_box plus one period beyond each end, flagged periodic
+    when one lies outside the box."""
+    k, _, c0, c1 = perm_box(p)
+    columns = essential_cells(p, *_region(p, c0 - k, c1 + k))
+    points = sorted(
+        EssPoint(a, b, v) for b, rows, values in columns for a, v in zip(rows, values)
+    )
+    periodic = any(not (c0 <= a <= c1 and c0 <= b <= c1) for a, b, _ in points)
+    return EssSet(tuple(points), periodic, k)
 
 
 def bruhat_leq_witness(
@@ -37,17 +132,15 @@ def bruhat_leq_witness(
     r0, r1, far = scan_region(perm_box(p), perm_box(q))
     if p.chi > q.chi:
         return False, far
-    a0, a1, b0, b1 = r0, r1, r0, r1
-    if p.period == q.period == 1:
-        # an essential cell (a, b) has alpha(b) < a <= alpha(b-1) and
-        # alpha^-1(a) < b <= alpha^-1(a-1), so b and b-1 cannot both lie off
-        # the window, nor a and a-1 both off its image [lo - chi, hi - chi]
-        a0, a1 = p.lo - p.chi + 1, p.hi - p.chi
-        b0, b1 = p.lo + 1, p.hi
-        if a0 > a1 or b0 > b1:
-            return True, None
-    s = rank_table(p, a0 - 1, a1 + 1, b0 - 1, b1 + 1)
-    return leq_at_ess(s, rank_table(q, a0, a1, b0, b1), a0, b0)
+    columns = essential_cells(p, *_region(p, r0, r1))
+    sq = eval_s_at(q, [(b, rows) for b, rows, _ in columns])
+    bad = [
+        (a, b)
+        for (b, rows, sp), tq in zip(columns, sq)
+        for a, x, y in zip(rows, sp, tq)
+        if x > y
+    ]
+    return (False, min(bad)) if bad else (True, None)
 
 
 def bruhat_leq(p: Permutation, q: Permutation) -> bool:

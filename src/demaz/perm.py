@@ -40,8 +40,9 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect
+from bisect import bisect, bisect_left, insort
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -70,6 +71,7 @@ __all__ = [
     "compose",
     "shift_of",
     "eval_s",
+    "eval_s_at",
     "delta_s",
     "diff_bound",
     "validate",
@@ -152,6 +154,59 @@ def _tail_apply(period: int, lo: int, vals: Sequence[int], n: int) -> int:
     # lo + j of n modulo the period at that end of the window
     j = i % period if i < 0 else len(vals) - period + (i - len(vals)) % period
     return vals[j] + i - j
+
+
+def _images(period: int, lo: int, vals: Sequence[int], n0: int, n1: int) -> list[int]:
+    """alpha(n) for n in [n0, n1]: the window by one slice, and each residue
+    class of each tail by one range, since alpha(n) - n is constant on a
+    class within a tail (see _tail_apply)."""
+    k, w = period, len(vals)
+    hi = lo + w - 1
+    out = [0] * (n1 - n0 + 1) if n0 <= n1 else []
+    if n0 < lo:
+        stop = n1 if n1 < lo else lo - 1
+        for j in range(k):
+            # the class of lo + j, from its first n >= n0 to stop
+            c = n0 + (lo + j - n0) % k
+            if c <= stop:
+                d = vals[j] - lo - j
+                out[c - n0 : stop - n0 + 1 : k] = range(c + d, stop + d + 1, k)
+    if n1 > hi:
+        start = n0 if n0 > hi else hi + 1
+        for j in range(w - k, w):
+            c = start + (lo + j - start) % k
+            if c <= n1:
+                d = vals[j] - lo - j
+                out[c - n0 :: k] = range(c + d, n1 + d + 1, k)
+    w0, w1 = (n0 if n0 > lo else lo), (n1 if n1 < hi else hi)
+    if w0 <= w1:
+        out[w0 - n0 : w1 - n0 + 1] = vals[w0 - lo : w1 - lo + 1]
+    return out
+
+
+def _preimages(
+    period: int, lo: int, vals: Sequence[int], a0: int, a1: int
+) -> list[int]:
+    """alpha^-1(a) for a in [a0, a1].  In the residue class of each of the
+    first k window values L the targets below L continue L's preimage
+    downward in steps of one, in that of each of the last k values R the
+    targets above R continue R's preimage upward, and the targets between
+    them are window values (see ``validate``)."""
+    k, last = period, len(vals) - period
+    out = [0] * (a1 - a0 + 1) if a0 <= a1 else []
+    for j in range(k):
+        v, d = vals[j], lo + j - vals[j]
+        s, e = a0 + (v - a0) % k, (a1 if a1 < v - k else v - k)
+        if s <= e:
+            out[s - a0 : e - a0 + 1 : k] = range(s + d, e + d + 1, k)
+        v, d = vals[last + j], lo + last + j - vals[last + j]
+        s = a0 + (v - a0) % k if a0 > v else v + k
+        if s <= a1:
+            out[s - a0 :: k] = range(s + d, a1 + d + 1, k)
+    for n, v in enumerate(vals, lo):
+        if a0 <= v <= a1:
+            out[v - a0] = n
+    return out
 
 
 def _raw_diff_bound(period: int, lo: int, vals: Sequence[int]) -> int:
@@ -448,27 +503,15 @@ def apply(p: Permutation, n: int) -> int:
 def inverse(p: Permutation) -> Permutation:
     """The inverse bijection (same period after canonicalization).
 
-    Its window holds the preimages of [min(vals) - k, max(vals) + k]: the
-    window's own values, and in each residue class r the targets below the
-    first value L_r of class r or above the last one R_r, whose preimages
-    continue those of L_r and R_r in steps of one.
+    Its window holds the preimages of [min(vals) - k, max(vals) + k], which
+    reach one period into each tail class.
     """
-    k, lo, vals = p.period, p.lo, p.vals
+    k, vals = p.period, p.vals
     lo_i = min(vals) - k
     size = max(vals) + k - lo_i + 1
     if size > _max_window:
         raise ResourceLimit(f"window of {size} entries exceeds cap {_max_window}")
-    pre = [0] * size
-    for j in range(k):
-        # the targets of a class below its first value continue that value's
-        # preimage downward in steps of k, those above its last one upward
-        n, t = lo + j, vals[j] - lo_i
-        pre[t % k : t : k] = range(n - t + t % k, n, k)
-        n, t = lo + len(vals) - k + j, vals[len(vals) - k + j] - lo_i
-        pre[t + k :: k] = range(n + k, n + size - t, k)
-    for n, v in enumerate(vals, lo):
-        pre[v - lo_i] = n
-    return from_window(k, lo_i, pre)
+    return from_window(k, lo_i, _preimages(k, p.lo, vals, lo_i, lo_i + size - 1))
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
@@ -481,8 +524,10 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
             f"composition window of {hi_n - lo_n + 1} entries exceeds cap "
             f"{_max_window}"
         )
-    vals = [apply(p, apply(q, n)) for n in range(lo_n, hi_n + 1)]
-    return from_window(k, lo_n, vals)
+    mid = _images(q.period, q.lo, q.vals, lo_n, hi_n)
+    m0 = min(mid)
+    outer = _images(p.period, p.lo, p.vals, m0, max(mid))
+    return from_window(k, lo_n, [outer[v - m0] for v in mid])
 
 
 def shift_of(p: Permutation) -> int:
@@ -529,6 +574,63 @@ def eval_s(p: Permutation, a: int, b: int) -> int:
     return count
 
 
+def eval_s_at(
+    p: Permutation, columns: Sequence[tuple[int, Sequence[int]]]
+) -> list[list[int]]:
+    """eval_s(p, a, b) for each (b, rows) of columns, b ascending, and each
+    a of rows, rows ascending: one list of counts per column, from one sweep.
+
+    The sweep runs down the columns from the last one, B, to the first,
+    inserting alpha(n) into a sorted list, so at column b it holds alpha(n)
+    for n in [b, B] and a row's count is one bisection.  The n > B add a
+    count per row.  From n0 = max(B, hi) + 1 on the right tail runs through
+    alpha(n0 + i) + kZ for i < k, a complete residue system: it hits every
+    integer from top = max_i alpha(n0 + i) - k + 1 on, and its few values
+    below top join the window's past B in the list; their number, at most
+    the spread of the residue system, is checked against the window cap
+    first.  The left tail's n in (B, lo), if any, are counted class by class
+    in closed form.
+    """
+    if not columns:
+        return []
+    k, lo, vals = p.period, p.lo, p.vals
+    b0, b1 = columns[0][0], columns[-1][0]
+    n0 = max(b1, p.hi) + 1
+    firsts = _images(k, lo, vals, n0, n0 + k - 1)
+    top = max(firsts) - k + 1
+    below = sum((top - u + k - 1) // k for u in firsts)
+    if below > _max_window:
+        raise ResourceLimit(
+            f"right tail of {p!r} has {below} values below its residue "
+            f"system's top, over cap {_max_window}"
+        )
+    seen = [*vals[max(b1 + 1 - lo, 0) :]]
+    seen += [v for u in firsts for v in range(u, top, k)]
+    seen.sort()
+    count = partial(bisect_left, seen)
+    images = _images(k, lo, vals, b0, b1)
+    out = []
+    n = b1 - b0 + 1
+    for b, rows in reversed(columns):
+        b -= b0
+        for v in images[b:n]:
+            insort(seen, v)
+        n = b
+        out.append(list(map(count, rows)))
+    out.reverse()
+    # the left tail's n = lo + j - k m in (B, lo), m = 1 .. m1, have
+    # alpha(n) = v - k m < a for m from max(1, (v - a) // k + 1) on
+    left = [(v, (lo + j - b1 - 1) // k) for j, v in enumerate(vals[:k])]
+    left = left if b1 + 1 < lo else []
+    if left or max([rows[-1] for _, rows in columns if rows], default=top) > top:
+        for (_, rows), counts in zip(columns, out):
+            for i, a in enumerate(rows):
+                counts[i] += max(0, a - top) + sum(
+                    max(0, m1 - max(1, (v - a) // k + 1) + 1) for v, m1 in left
+                )
+    return out
+
+
 def delta_s(p: Permutation, a: int, b: int) -> int:
     """Mixed second difference of eval_s; equals 1 exactly when alpha(b) = a."""
     return 1 if apply(p, b) == a else 0
@@ -546,7 +648,8 @@ def _relative_images(p: Permutation, n0: int, n1: int) -> np.ndarray:
     """alpha(n) - n0 for n in [n0, n1]; relative to n0 they stay within
     diff_bound of the band, so int64 holds them wherever the band lies."""
     import numpy as np
-    return np.array([apply(p, n) - n0 for n in range(n0, n1 + 1)], dtype=np.int64)
+    images = _images(p.period, p.lo, p.vals, n0, n1)
+    return np.array([v - n0 for v in images], dtype=np.int64)
 
 
 def _inversion_masks(

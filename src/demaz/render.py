@@ -4,18 +4,17 @@ Profiles superimpose the graphs y = s(x, b), one curve per b in the chosen
 range; heatmaps paint the raw values over a box.  Output is plain text in
 all three formats (ascii art, ASCII-PGM, SVG with integer coordinates and no
 fonts), so byte equality against golden files is meaningful on every
-platform.
+platform.  A permutation's slipface is counted on the requested rectangle
+alone, without numpy; a Slipface is read off its grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .slipface import Slipface, sf_eval_grid
-
-if TYPE_CHECKING:  # annotations only; numpy loads where arrays are built
-    import numpy as np
+from .errors import ResourceLimit
+from .perm import Permutation, eval_s_at
+from .slipface import _GRID_CELL_CAP, Slipface, sf_eval_grid
 
 __all__ = ["RenderSpec", "render"]
 
@@ -52,42 +51,54 @@ class RenderSpec:
             raise ValueError(f"mode must be one of {_MODES}")
 
 
-def render(s: Slipface, spec: RenderSpec) -> str:
-    g = sf_eval_grid(s, spec.a_lo, spec.a_hi, spec.b_lo, spec.b_hi)
+def render(s: Slipface | Permutation, spec: RenderSpec) -> str:
+    """Render s, a slipface or the slipface s_p of a permutation, on the
+    rectangle of spec, whose size is checked before anything is built."""
+    rows = range(spec.a_lo, spec.a_hi + 1)
+    cols = range(spec.b_lo, spec.b_hi + 1)
+    if len(rows) * len(cols) > _GRID_CELL_CAP:
+        raise ResourceLimit(
+            f"render rectangle of {len(rows) * len(cols)} cells exceeds cap "
+            f"{_GRID_CELL_CAP}"
+        )
+    if isinstance(s, Permutation):
+        g = [list(r) for r in zip(*eval_s_at(s, [(b, rows) for b in cols]))]
+    else:
+        g = sf_eval_grid(s, spec.a_lo, spec.a_hi, spec.b_lo, spec.b_hi).tolist()
     fn = _DISPATCH[(spec.fmt, spec.mode)]
     return fn(g, spec)
 
 
-def _ascii_heatmap(g: np.ndarray, spec: RenderSpec) -> str:
-    wv = max(len(str(int(v))) for v in (g.max(), g.min()))
+def _ascii_heatmap(g: list[list[int]], spec: RenderSpec) -> str:
+    wv = max(len(str(v)) for v in (max(map(max, g)), min(map(min, g))))
     wa = max(len(str(spec.a_lo)), len(str(spec.a_hi)))
     lines = [f"heatmap a={spec.a_lo}..{spec.a_hi} b={spec.b_lo}..{spec.b_hi}"]
-    for i in range(g.shape[0] - 1, -1, -1):
+    for i in range(len(g) - 1, -1, -1):
         a = spec.a_lo + i
-        row = " ".join(f"{int(v):>{wv}}" for v in g[i])
+        row = " ".join(f"{v:>{wv}}" for v in g[i])
         lines.append(f"{a:>{wa}} | {row}")
     return "\n".join(lines) + "\n"
 
 
-def _profile_canvas(g: np.ndarray, spec: RenderSpec):
+def _profile_canvas(g: list[list[int]], spec: RenderSpec):
     # canvas[y][x] = set of b-indices whose curve passes through (x, y)
-    ymax = int(g.max())
-    nx = g.shape[0]
+    ymax = max(map(max, g))
+    nx = len(g)
     cells: dict[tuple[int, int], list[int]] = {}
-    for j in range(g.shape[1]):
+    for j in range(len(g[0])):
         for i in range(nx):
-            y = int(g[i, j])
+            y = g[i][j]
             cells.setdefault((i, y), []).append(j)
     return ymax, cells
 
 
-def _ascii_profiles(g: np.ndarray, spec: RenderSpec) -> str:
+def _ascii_profiles(g: list[list[int]], spec: RenderSpec) -> str:
     ymax, cells = _profile_canvas(g, spec)
     wy = len(str(ymax))
     lines = [f"profiles a={spec.a_lo}..{spec.a_hi} b={spec.b_lo}..{spec.b_hi}"]
     for y in range(ymax, -1, -1):
         chars = []
-        for i in range(g.shape[0]):
+        for i in range(len(g)):
             js = cells.get((i, y))
             if js is None:
                 chars.append(" ")
@@ -99,17 +110,17 @@ def _ascii_profiles(g: np.ndarray, spec: RenderSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _pgm_heatmap(g: np.ndarray, spec: RenderSpec) -> str:
-    mx = max(1, int(g.max()))
-    lines = ["P2", f"{g.shape[1]} {g.shape[0]}", str(mx)]
-    for i in range(g.shape[0] - 1, -1, -1):
-        lines.append(" ".join(str(int(v)) for v in g[i]))
+def _pgm_heatmap(g: list[list[int]], spec: RenderSpec) -> str:
+    mx = max(1, max(map(max, g)))
+    lines = ["P2", f"{len(g[0])} {len(g)}", str(mx)]
+    for i in range(len(g) - 1, -1, -1):
+        lines.append(" ".join(map(str, g[i])))
     return "\n".join(lines) + "\n"
 
 
-def _pgm_profiles(g: np.ndarray, spec: RenderSpec) -> str:
+def _pgm_profiles(g: list[list[int]], spec: RenderSpec) -> str:
     ymax, cells = _profile_canvas(g, spec)
-    h, w = ymax + 1, g.shape[0]
+    h, w = ymax + 1, len(g)
     img = [[0] * w for _ in range(h)]
     for (i, y), _ in cells.items():
         img[ymax - y][i] = 1
@@ -130,15 +141,15 @@ def _svg_open(w: int, h: int) -> list[str]:
     ]
 
 
-def _svg_heatmap(g: np.ndarray, spec: RenderSpec) -> str:
-    na, nb = g.shape
-    mx = max(1, int(g.max()))
+def _svg_heatmap(g: list[list[int]], spec: RenderSpec) -> str:
+    na, nb = len(g), len(g[0])
+    mx = max(1, max(map(max, g)))
     out = _svg_open(nb * _CELL, na * _CELL)
     for i in range(na - 1, -1, -1):
         y = (na - 1 - i) * _CELL
         for j in range(nb):
             # dark for large values
-            lvl = 255 - int(g[i, j]) * 255 // mx
+            lvl = 255 - g[i][j] * 255 // mx
             out.append(
                 f'<rect x="{j * _CELL}" y="{y}" width="{_CELL}" '
                 f'height="{_CELL}" fill="rgb({lvl},{lvl},{lvl})"/>'
@@ -147,15 +158,15 @@ def _svg_heatmap(g: np.ndarray, spec: RenderSpec) -> str:
     return "\n".join(out) + "\n"
 
 
-def _svg_profiles(g: np.ndarray, spec: RenderSpec) -> str:
-    na, nb = g.shape
-    ymax = int(g.max())
+def _svg_profiles(g: list[list[int]], spec: RenderSpec) -> str:
+    na, nb = len(g), len(g[0])
+    ymax = max(map(max, g))
     w = max(1, (na - 1) * _CELL)
     h = max(1, ymax * _CELL)
     out = _svg_open(w, h)
     for j in range(nb):
         pts = " ".join(
-            f"{i * _CELL},{(ymax - int(g[i, j])) * _CELL}" for i in range(na)
+            f"{i * _CELL},{(ymax - g[i][j]) * _CELL}" for i in range(na)
         )
         color = _PALETTE[(spec.b_lo + j) % len(_PALETTE)]
         out.append(

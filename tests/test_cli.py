@@ -386,17 +386,20 @@ def test_extended_checks_catch_a_wrong_periodized_fold(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, code",
     [
-        # a 4000009^2 grid, then a box past int64
-        (["ess", "shift(1000000)"], 4),
-        (["ess", "shift(10000000000000000000)"], 4),
-        # window values past int64 in the right operand's rank table
+        # a pure shift has an empty window, so no essential cell, at any size
+        (["ess", "shift(1000000)"], 0),
+        (["ess", "shift(10000000000000000000)"], 0),
+        # window values past int64, counted exactly: shift 10^20 is far above
         (["compare", "leq", "sym(1; 2 1)",
-          "ep(k=1, lo=0; -100000000000000000000 -99999999999999999999)"], 4),
+          "ep(k=1, lo=0; -100000000000000000000 -99999999999999999999)"], 0),
         (["inverse", "shift(" + "9" * 5000 + ")"], 2),
         # an affine period past int64 in the left operand of the fold
         (["star", "aff(2; 0 100000000000000000001)", "aff(2; 1 0)"], 4),
+        # a periodic scan square of (8 * 10^6)^2 cells, refused before any list
+        (["ess", "aff(2; 0 2000001)"], 4),
     ],
-    ids=["shift-1e6", "shift-1e19", "values-1e20", "5000-digits", "affine-1e20"],
+    ids=["shift-1e6", "shift-1e19", "values-1e20", "5000-digits", "affine-1e20",
+         "periodic-ess-over-cap"],
 )
 def test_huge_inputs_end_in_exit_codes(argv, code):
     src = os.path.dirname(os.path.dirname(demazure.__file__))
@@ -427,10 +430,20 @@ FOLDED = [
         (["validate", "aff(3; 2 -3 4)"], False),
         (["oracle", "star", "sym(1; 2 1)", "sym(1; 1 3 2)"], False),
         (["star", "--json", "aff(3; 2 -3 4)", "sym(1; 3 1 4 2)"], False),
-        # these build rank tables or grids, so the check cannot pass vacuously
-        (["compare", "leq", "sym(1; 2 1)", "sym(1; 3 2 1)"], True),
-        (["ess", "sym(1; 3 1 4 2)"], True),
+        # these build inversion masks or grids, so the check cannot pass
+        # vacuously
+        (["compare", "wleft", "sym(1; 2 1)", "sym(1; 3 2 1)"], True),
+        (["rankgrid", "glue", "sym(1; 2 1)", "sym(1; 1 3 2)"], True),
         (["star", "ep(k=2, lo=-2; -2 -1 1 0)", "sym(1; 2 1)"], True),
+        # essential cells and counts on permutations, no rank table
+        (["compare", "leq", "sym(1; 2 1)", "sym(1; 3 2 1)"], False),
+        (["compare", "leq", S7, A5], False),
+        (["compare", "leq_chi", "sigma(2)", "sym(1; 3 2 1)"], False),
+        (["ess", "sym(1; 3 1 4 2)"], False),
+        (["ess", "--json", A3], False),
+        (["render", "gamma(3,5)", "--arange=-2:4", "--brange=-3:3"], False),
+        (["render", A3, "--format=svg", "--mode=profiles", "--arange=-2:4",
+          "--brange=-3:3"], False),
     ],
 )
 def test_fold_verbs_never_import_numpy(argv, numpy):
@@ -445,3 +458,16 @@ def test_fold_verbs_never_import_numpy(argv, numpy):
         timeout=60,
     )
     assert proc.stdout.splitlines()[-1] == f"0 {numpy}", proc.stderr[-500:]
+
+
+def test_numpy_free_verbs_match_their_goldens():
+    # the script blocks numpy itself; CI also runs it before numpy is installed
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(demazure.__file__))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "tests", "cli_without_numpy.py")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.endswith("23 of 23 numpy-free CLI goldens match\n")

@@ -217,7 +217,7 @@ def test_size_caps_apply_before_allocation(rng):
     assert e == make_shift(0)
     assert star(far, e) == far
     wide = sym(rng, 7000)
-    with pytest.raises(ResourceLimit, match="rank table"):
+    with pytest.raises(ResourceLimit, match=r"\(49014001 cells\) exceed cap"):
         bruhat_leq_witness(wide, wide)
 
 

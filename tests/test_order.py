@@ -7,6 +7,7 @@ import sys
 from conftest import (
     inversion_pairs,
     line_of,
+    mixed_tails,
     rand_affine,
     sd_lines,
     sd_perms,
@@ -21,6 +22,7 @@ from demaz import (
     bruhat_leq,
     bruhat_leq_witness,
     compose,
+    ess_set,
     eval_s,
     format_perm,
     has_inversion,
@@ -31,6 +33,7 @@ from demaz import (
     make_gamma,
     make_shift,
     make_sigma_set,
+    perm_ess_set,
     reduce,
     sf_from_perm,
     sf_leq_ess,
@@ -103,6 +106,46 @@ def test_bruhat_witness_matches_the_grid_comparison(rng):
     assert outcomes >= {(True, False, True), (False, False, True), (False, True, True)}
 
 
+def _sweep_pairs(rng):
+    """inversion_pairs (windows near +-10^4, |chi| up to 50, periods 5 and
+    7), coprime periods 5 and 7 against each other, mixed tails, and each
+    pair's star, with a left side shifted above the right one."""
+    pairs = inversion_pairs(rng)
+    for _ in range(6):
+        p, q = rand_affine(rng, 5, 1), rand_affine(rng, 7, 1)
+        q = compose(make_shift(rng.randint(-50, 50)), q)
+        pairs += [(p, q), (q, p), (p, star(p, q)), (star(q, p), q)]
+    for _ in range(12):
+        m = mixed_tails(rng)
+        other = rng.choice((zoo_perm(rng), mixed_tails(rng), rand_affine(rng, 3, 1)))
+        pairs += [(m, other), (other, m), (m, star(m, other))]
+    for p, q in pairs[::7]:
+        pairs.append((compose(make_shift(q.chi - p.chi + rng.randint(1, 3)), p), q))
+    return pairs
+
+
+def test_essential_sweep_matches_the_grid_comparison(rng):
+    outcomes = set()
+    for p, q in _sweep_pairs(rng):
+        got = bruhat_leq_witness(p, q)
+        assert got == sf_leq_ess(sf_from_perm(p), sf_from_perm(q)), (p, q)
+        outcomes.add((got[0], p.chi > q.chi, max(p.period, q.period) > 1))
+    assert outcomes >= {
+        (True, False, False), (False, False, False), (True, False, True),
+        (False, False, True), (False, True, False), (False, True, True),
+    }
+
+
+def test_perm_ess_set_matches_the_grid(rng):
+    pool = {p for pair in _sweep_pairs(rng) for p in pair}
+    kinds = set()
+    for p in sorted(pool, key=repr):
+        e = perm_ess_set(p)
+        assert e == ess_set(sf_from_perm(p)), p
+        kinds.add((p.period > 1, e.periodic, bool(e.points)))
+    assert kinds >= {(False, False, True), (True, True, True), (False, False, False)}
+
+
 def test_periodic_comparison_and_reduce_build_no_grid(rng, monkeypatch, capsys):
     built = []
     real = slipface.sf_from_perm
@@ -119,7 +162,10 @@ def test_periodic_comparison_and_reduce_build_no_grid(rng, monkeypatch, capsys):
             main(["compare", "leq", format_perm(p), format_perm(q)])
             reduce(p, q, star(p, q))
     assert built == []
-    main(["ess", "sigma_mod(1,4)"])  # the counter sees calls through the CLI
+    main(["ess", "sigma_mod(1,4)"])
+    assert built == []
+    # the counter sees calls through the CLI: the grid re-check of ess
+    main(["--extended-checks", "ess", "sigma_mod(1,4)"])
     assert len(built) == 1
     capsys.readouterr()
 

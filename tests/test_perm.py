@@ -8,9 +8,11 @@ import pytest
 from conftest import (
     inversion_pairs,
     line_of,
+    mixed_tails,
     rand_affine,
     rand_line,
     sd_lines,
+    sym,
     zoo_perm,
 )
 
@@ -26,6 +28,7 @@ from demaz import (
     delta_s,
     diff_bound,
     eval_s,
+    eval_s_at,
     from_window,
     get_max_window,
     has_inversion,
@@ -51,6 +54,8 @@ from demaz.perm import (
     _canonical_fields,
     _covers_each_class_once,
     _raw_chi,
+    _images,
+    _preimages,
     _raw_diff_bound,
     _tail_apply,
 )
@@ -328,6 +333,66 @@ def test_inverse_matches_the_preimage_scan(rng):
         assert all(apply(q, apply(p, n)) == n for n in range(-30, 30))
         assert all(apply(p, apply(q, t)) == t for t in range(-chi - 30, -chi + 30))
         assert q == compose(inverse(a), make_shift(-chi))
+
+
+def _counter_pool(rng):
+    """Zoo members, mixed tails, star(affine, S_d) and S_d with windows near
+    +-10^4, each also shifted by +-10^20."""
+    pool = [zoo_perm(rng) for _ in range(30)] + [mixed_tails(rng) for _ in range(10)]
+    pool += [star(rand_affine(rng, k, 1), sym(rng, 4, rng.randint(-4, 4)))
+             for k in (2, 3, 5, 7)]
+    pool += [sym(rng, 9, off, rng.randint(-50, 50)) for off in (10**4, -(10**4))]
+    shifts = (make_shift(10**20), make_shift(-(10**20)))
+    return pool + [compose(t, p) for p in pool[::4] for t in shifts]
+
+
+def test_images_and_preimages_match_pointwise(rng):
+    for p in _counter_pool(rng):
+        q = inverse(p)
+        for c in (p.lo - 3 * p.period - 9, p.hi - 5, -(10**20), 10**20, p.lo + 10**6):
+            for size in (0, 1, p.period + 1, len(p.vals) + 25):
+                span = (c, c + size - 1)
+                assert _images(p.period, p.lo, p.vals, *span) == [
+                    apply(p, n) for n in range(c, c + size)
+                ], (p, span)
+                assert _preimages(p.period, p.lo, p.vals, *span) == [
+                    apply(q, a) for a in range(c, c + size)
+                ], (p, span)
+
+
+def test_eval_s_at_matches_eval_s(rng):
+    checked = 0
+    for p in _counter_pool(rng):
+        chi, lo, hi = p.chi, p.lo, p.hi
+        # columns across, left of, right of and far from the window; rows
+        # near the columns, near the window's values and at +-10^20
+        for b0 in (lo - 4, lo - 40, hi + 30, -(10**20), 10**20, lo - 10**6):
+            columns = []
+            for b in range(b0, b0 + 12):
+                if rng.random() < 0.4:
+                    continue
+                near = [b - chi + rng.randint(-15, 15) for _ in range(4)]
+                window = [rng.choice(p.vals) + rng.randint(-2, 2) for _ in range(3)]
+                far = [rng.choice((-1, 1)) * 10**20 + rng.randint(-30, 30)]
+                columns.append((b, sorted(set(near + window + far))))
+            got = eval_s_at(p, columns)
+            assert got == [[eval_s(p, a, b) for a in rows] for b, rows in columns], (
+                p, b0,
+            )
+            checked += sum(map(len, got))
+    assert checked > 10000
+    assert eval_s_at(identity(), []) == []
+
+
+def test_eval_s_at_caps_the_right_tail():
+    # the right tail's values 2, 4, ..., 2000002 lie below its residue
+    # system's top, one more than the window cap allows
+    p = make_affine([0, 2000003], 2)
+    with pytest.raises(ResourceLimit, match=r"1000001 values below .* cap 1000000"):
+        eval_s_at(p, [(0, [0])])
+    assert eval_s_at(make_affine([0, 21], 2), [(0, [0, 5])]) == [
+        [eval_s(make_affine([0, 21], 2), a, 0) for a in (0, 5)]
+    ]
 
 
 def test_inversion_scan_matches_the_per_pair_loops(rng):

@@ -4,12 +4,15 @@ import pathlib
 
 import pytest
 
-from conftest import zoo_perm
+from conftest import mixed_tails, rand_affine, zoo_perm
 
 from demaz import (
     RenderSpec,
+    ResourceLimit,
+    compose,
     make_from_one_line,
     make_gamma,
+    make_shift,
     render,
     sf_from_perm,
 )
@@ -104,3 +107,24 @@ def test_heatmap_rows_descend_in_a(rng):
     out = render(s, spec(-3, 3, 0, 2))
     labels = [ln.split("|")[0].strip() for ln in out.splitlines()[1:]]
     assert labels == [str(a) for a in range(3, -4, -1)]
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "svg", "pgm"])
+@pytest.mark.parametrize("mode", ["heatmap", "profiles"])
+def test_permutation_render_matches_the_grid(rng, fmt, mode):
+    # a permutation is counted on the rectangle alone, a slipface read off
+    # its grid: the bytes agree, near the window and away from it
+    pool = [zoo_perm(rng) for _ in range(6)] + [mixed_tails(rng)]
+    pool += [rand_affine(rng, 5, 1), compose(make_shift(-30), make_gamma(2, 3))]
+    for p in pool:
+        corners = ((p.lo - 4, p.lo - 3), (p.lo - 40, p.lo + 25), (p.hi + 20, p.lo - 30))
+        for a0, b0 in corners:
+            sp = spec(a0, a0 + 8, b0, b0 + 6, fmt=fmt, mode=mode)
+            assert render(p, sp) == render(sf_from_perm(p), sp), (p, sp)
+
+
+def test_render_checks_the_rectangle_before_counting():
+    s = spec(0, 9999, 0, 4000)
+    for f in (make_gamma(1, 1), sf_from_perm(make_gamma(1, 1))):
+        with pytest.raises(ResourceLimit, match="40010000 cells exceeds cap 40000000"):
+            render(f, s)
