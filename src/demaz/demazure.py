@@ -2,17 +2,16 @@
 
 star(a, b) is the unique permutation whose slipface is the min-plus product
 of the factors' slipfaces; tll and tlr are the Bruhat-minimal solutions of
-the corresponding one-sided inequalities.  ``product_path`` picks the engine
-from the operands alone: when both have equal tails (each follows one
-globally periodic germ on both sides, as every period-1 permutation does)
-all three fold an affine reduced word on one period
-(``finitary.affine_product``): the union window for period-1 pairs, the lcm
-of the periods for globally periodic pairs, a periodization around the
-windows otherwise; a pair with mixed tails goes through the slipface grid
-engine and reconstruction, which ``grid_product`` also exposes for every
-pair as the reference.  Generator inputs (disjoint adjacent transpositions)
-additionally have direct paths, ``star_sigma`` and ``tll_sigma``, which are
-kept as an independent cross-check.
+the corresponding one-sided inequalities.  All three fold an affine
+reduced word on one period (``finitary.affine_product``) for every pair:
+the union window for period-1 pairs, the lcm of the periods for globally
+periodic pairs, a periodization around the windows for other pairs with
+equal tails, and for a pair with a mixed-tail operand two such folds of
+the operands closed at each end, stitched between the windows.  The
+slipface grid engine and reconstruction, ``grid_product``, computes every
+pair too, as the reference.  Generator inputs (disjoint adjacent
+transpositions) additionally have direct paths, ``star_sigma`` and
+``tll_sigma``, which are kept as an independent cross-check.
 
 A pair (a, b) is reduced when Inv(a) and Inv(b^-1) are disjoint, exactly
 when star(a, b) equals compose(a, b); the test is the inversion scan of
@@ -39,6 +38,7 @@ from .perm import (
     from_window,
     identity,
     inverse,
+    make_shift,
     make_sigma_set,
 )
 from .order import bruhat_leq_witness, leq_chi
@@ -67,23 +67,19 @@ _GRID = {"star": sf_star, "tll": sf_tll, "tlr": sf_tlr}
 
 def grid_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
     """star, tll or tlr (by ``kind``) through the slipface grid engine, for
-    any periods: the reference the word folds are checked against."""
-    return sf_to_perm(_GRID[kind](sf_from_perm(p), sf_from_perm(q)))
-
-
-def product_path(p: Permutation, q: Permutation) -> str:
-    """The engine that computes products of p and q: "affine" when both
-    have equal tails, else "grid"."""
-    if finitary.has_equal_tails(p) and finitary.has_equal_tails(q):
-        return "affine"
-    return "grid"
+    any periods: the reference the word folds are checked against.  The
+    shifts are factored out first, p = T_u p' and q = q' T_w with u =
+    chi_p, w = chi_q and T_chi: n -> n - chi, and kind(p, q) = T_u kind(p',
+    q') T_w (step 0 of ``finitary.affine_product``), so the grids do not
+    grow with |chi|."""
+    u, w = p.chi, q.chi
+    p0, q0 = compose(make_shift(-u), p), compose(q, make_shift(-w))
+    r = sf_to_perm(_GRID[kind](sf_from_perm(p0), sf_from_perm(q0)))
+    return compose(make_shift(u), compose(r, make_shift(w)))
 
 
 def _product(kind: str, p: Permutation, q: Permutation) -> Permutation:
-    if product_path(p, q) == "affine":
-        r = finitary.affine_product(kind, p, q)
-    else:
-        r = grid_product(kind, p, q)
+    r = finitary.affine_product(kind, p, q)
     if r.chi != p.chi + q.chi:
         what = "product" if kind == "star" else "adjoint"
         raise InternalInconsistency(f"shift is not additive under the {what}")

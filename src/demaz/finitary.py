@@ -1,6 +1,4 @@
-"""The word-fold engine: star, tll and tlr of two permutations with equal
-tails (both tails of each follow one globally periodic germ, as for every
-period-1 or globally periodic permutation and for star(aff, S_d)), without
+"""The word-fold engine: star, tll and tlr of any two permutations, without
 slipface grids.
 
 Shifts, which have length 0, are factored out of the operands where that
@@ -12,19 +10,25 @@ swapping positions j, j + 1 only where the running result ascends; tll
 swaps only where it descends; tlr is the mirror tlr(x, v) =
 inverse(tll(inverse(v), inverse(x))) on the period arrays.  The word is
 what insertion sort spells on one period of v^-1, then wrap letters
-s_{M-1}: O(M + l(v)) list steps.  The period is the union window for
-period-1 pairs (no wrap letter and no margin), the lcm K of the periods for
-globally periodic pairs, and else a periodization around the windows, cut
-back to period K; ``affine_product`` proves all three.
+s_{M-1}: O(M + l(v)) list steps.  For operands with equal tails (both
+tails of each follow one globally periodic germ, as for every period-1 or
+globally periodic permutation and for star(aff, S_d)) the period is the
+union window for period-1 pairs, the lcm K of the periods for globally
+periodic pairs, and else a periodization around the windows, cut back to
+period K.  A pair with a mixed-tail operand closes each such operand at
+each end into an equal-tail permutation, folds the left closures and the
+right closures, and stitches the two results together between the
+windows.  ``affine_product`` proves all four.
 
 Each fold certifies itself: the word has exactly l(v) letters, and the
 result's length is l(x) plus (star) or minus (tll) the letters kept, all
 lengths counted independently (the inversions of the period when it maps
 onto an interval, otherwise a sort and two inversion counts).  A
-periodized result also shows the germ product at both ends of its cut, and
-every result passes ``from_window`` validation.  Size caps are checked
-before any folding.  The slipface grid engine, which serves mixed tails, is
-the reference.
+periodized result also shows the germ product at both ends of its cut, a
+stitched one has equal left and right folds on the windows, and every
+result passes ``from_window`` validation.  Size caps are checked before
+any folding.  The slipface grid engine (``demazure.grid_product``) is the
+reference.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from bisect import bisect
 
 from .errors import InternalInconsistency, ResourceLimit
 from .perm import Permutation, from_window, get_max_window
-from .perm import _inversions, _tail_apply
+from .perm import _images, _inversions, _raw_diff_bound
 from .slipface import _GRID_CELL_CAP
 
 __all__ = [
@@ -72,7 +76,8 @@ def has_equal_tails(p: Permutation) -> bool:
 def _values(f: _Factor, c: int, size: int) -> list[int]:
     """f on [c, c + size), less c."""
     period, lo, vals, add = f
-    return [_tail_apply(period, lo, vals, n) + add - c for n in range(c, c + size)]
+    t = add - c
+    return [v + t for v in _images(period, lo, vals, c, c + size - 1)]
 
 
 def _period_inverse(vals: list[int]) -> list[int]:
@@ -231,7 +236,10 @@ def _layout(k: int, fp: _Factor, fq: _Factor, bent: tuple[bool, bool]):
 
 
 def affine_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
-    """star, tll or tlr (by ``kind``) of two operands with equal tails.
+    """star, tll or tlr (by ``kind``) of any two operands.
+
+    Operands with equal tails fold as below; a pair with a mixed-tail
+    operand closes, folds and stitches (see "Mixed tails" at the end).
 
     With T_chi: n -> n - chi, p = T_u p' and q = q' T_w for a frame (u, w):
     (chi_p, chi_q), in which the factors p', q' have shift 0, or (0, 0),
@@ -287,10 +295,61 @@ def affine_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
     M): r^ = r there, and both fix c and c + M - 1.  Before the cut goes to
     ``from_window``, its first and last K entries are checked against G,
     folded on one period of the germs (the identity when K = 1).
+
+    Mixed tails.  Let d_p, d_q be the diff bounds of p and q themselves,
+    e = d_p + d_q, [lo, hi] span both windows, g+ (g-) the largest diff
+    bound of the operands' right (left) germs, which are their
+    displacements right of hi (left of lo), X_L = e + g+ and X_R = e + g-
+    (``_stitch_margins``), x = hi + X_L and x' = lo - X_R.  Each mixed-tail
+    operand f with left germ A (its first period repeated) has the left
+    closure f_L: f on (-inf, x], A on [y, inf) with y = x + d_f + d_A + 2,
+    and in increasing order on (x, y) the integers neither part takes.
+    Its right closure f_R is the mirror: under rho(n) = -1 - n, f_R = rho
+    (rho f rho)_L rho with the cut -1 - x', which is the right germ on
+    (-inf, y'] and f on [x', inf).  An operand with equal tails is its own
+    closure on both sides.  Then kind(p, q) is r_L = kind(p_L, q_L) on
+    (-inf, hi] and r_R = kind(p_R, q_R) on (hi, inf), since:
+
+    S1. f_L is a permutation with equal tails, shift chi_f and diff bound
+        <= d_f, and it takes on (x, inf) the integers f takes there.  A
+        germ has the shift of f: the flow across a cut deep in either tail
+        is chi_f.  f((-inf, x]) lies below a = x + d_f + 1 and A([y, inf))
+        above it, and t_f(a, x + 1) = 0 = s_A(a, y), so with s - t = a - b
+        + chi the integers below a that f misses on (-inf, x] number a - x
+        - 1 + chi_f, those from a on that A misses on [y, inf) number y - a
+        - chi_f: y - x - 1 together, the length of (x, y).  They lie in
+        [x + 1 - d_f, y - 1 + d_A], so placed in order on (x, y) they move
+        by at most max(d_f, d_A) = d_f (A's displacements are f's on its
+        first period).
+    S2. t_f(a, l) = #{n < l : f(n) >= a} reads f only on (-inf, l), and
+        s_f(a, l) = t_f(a, l) + a - l + chi_f, so the counts of p_L and p
+        agree for l <= x + 1, and those of q_L and q for b <= x + 1.  Let
+        a, b <= x + 1 - g+.  For l > x, p(l) >= l - g+ >= a, and so p_L(l)
+        >= a by S1; and q^-1(l) >= b, because q(n) <= x for n < b (for n <=
+        hi, q(n) <= hi + d_q <= x; beyond, q(n) <= n + g+ <= x), and the
+        same holds for q_L, which is q on (-inf, x].  So from l = x + 1 on
+        the steps of step 1 are +1 (star), 0 (tll) and 0 (tlr): for both
+        pairs each optimum is attained at some l <= x + 1, where their
+        terms agree, and s_r(a, b) = s_{r_L}(a, b).
+    S3. By step 2, r(n) lies in [n - e, n + e], and r(n) = a exactly when
+        the mixed difference of s_r at (a, n) is 1, which reads the cells
+        (a or a + 1, n or n + 1): all in S2's region once n <= x - g+ - e
+        = hi.  So r = r_L on (-inf, hi].  Mirrored (s_f(a, l) reads f only
+        on [l, inf), and t_f = s_f - a + l - chi_f), r = r_R on [lo, inf).
+    S4. So both folds are right on [lo, hi], which is checked before the
+        stitch: r_L and r_R must agree there.
+
+    The closed windows are checked against the window cap before they are
+    built, and the folds of the closures check their own sizes.
     """
-    for f in (p, q):
-        if not has_equal_tails(f):
-            raise ValueError(f"the affine fold needs equal tails, got {f!r}")
+    equal = has_equal_tails(p), has_equal_tails(q)
+    if all(equal):
+        return _equal_tail_product(kind, p, q)
+    return _stitched_product(kind, p, q, equal)
+
+
+def _equal_tail_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
+    """``affine_product`` of two operands with equal tails."""
     k = math.lcm(p.period, q.period)
     bent = (not is_affine(p), not is_affine(q))
     # the factors p'(n) = p(n) + u and q'(n) = q(n + w) of each frame (u, w)
@@ -315,3 +374,73 @@ def affine_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
                     f"product at {n}"
                 )
     return from_window(k, c + cut + w, [a + c - u for a in r[cut : size - cut]])
+
+
+def _germ_bounds(f: Permutation) -> tuple[int, int]:
+    """The diff bounds of f's left and right germs: its largest
+    displacements left and right of its window."""
+    k, w = f.period, len(f.vals)
+    return (_raw_diff_bound(k, f.lo, f.vals[:k]),
+            _raw_diff_bound(k, f.lo + w - k, f.vals[w - k :]))
+
+
+def _stitch_margins(p: Permutation, q: Permutation) -> tuple[int, int]:
+    """(X_L, X_R) of ``affine_product``'s mixed-tail case."""
+    e = p.diff_bound + q.diff_bound
+    (pl, pr), (ql, qr) = _germ_bounds(p), _germ_bounds(q)
+    return e + max(pr, qr), e + max(pl, ql)
+
+
+def _reversed(p: Permutation) -> Permutation:
+    """rho p rho with rho(n) = -1 - n: p read backwards, its right tail on
+    the left."""
+    return from_window(p.period, -1 - p.hi, [-1 - v for v in reversed(p.vals)])
+
+
+def _close_left(p: Permutation, x: int) -> Permutation:
+    """p on (-inf, x], its left germ A from y = x + d_p + d_A + 2 on, and the
+    integers neither takes in increasing order between (S1 of
+    ``affine_product``)."""
+    k, lo, vals = p.period, p.lo, p.vals
+    d, da = p.diff_bound, _germ_bounds(p)[0]
+    a, y = x + d + 1, x + d + da + 2
+    start = min(lo, x - k + 1)
+    if (size := y + k - start) > (cap := get_max_window()):
+        raise ResourceLimit(f"closed window of {size} entries exceeds cap {cap}")
+    # the integers below a come from p on (x, x + 2d], those from a on
+    # from A on [a - d_A, y)
+    head = _images(k, lo, vals, start, x + 2 * d)
+    germ = _images(k, lo, vals[:k], a - da, y + k - 1)
+    cut = y - (a - da)
+    gap = [v for v in head[x + 1 - start :] if v < a]
+    gap += [v for v in germ[:cut] if v >= a]
+    gap.sort()
+    return from_window(k, start, head[: x + 1 - start] + gap + germ[cut:])
+
+
+def _stitched_product(
+    kind: str, p: Permutation, q: Permutation, equal: tuple[bool, bool]
+) -> Permutation:
+    """``affine_product`` of a pair with a mixed-tail operand: r_L up to hi
+    and r_R after it, checked to agree on [lo, hi]."""
+    lo, hi = min(p.lo, q.lo), max(p.hi, q.hi)
+    margin_l, margin_r = _stitch_margins(p, q)
+    x, x_ = hi + margin_l, lo - margin_r
+    (pl, pr), (ql, qr) = (
+        (f, f) if eq
+        else (_close_left(f, x), _reversed(_close_left(_reversed(f), -1 - x_)))
+        for f, eq in zip((p, q), equal)
+    )
+    rl, rr = _equal_tail_product(kind, pl, ql), _equal_tail_product(kind, pr, qr)
+    left, right = (_images(r.period, r.lo, r.vals, lo, hi) for r in (rl, rr))
+    if left != right:
+        i = next(i for i, (u, v) in enumerate(zip(left, right)) if u != v)
+        raise InternalInconsistency(
+            f"stitched {kind} of {p!r} and {q!r}: the left and right folds "
+            f"differ at {lo + i} ({left[i]} against {right[i]})"
+        )
+    k = math.lcm(p.period, q.period)
+    w0, w1 = min(rl.lo, hi + 1) - k, max(rr.hi, hi) + k
+    vals = _images(rl.period, rl.lo, rl.vals, w0, hi)
+    vals += _images(rr.period, rr.lo, rr.vals, hi + 1, w1)
+    return from_window(k, w0, vals)

@@ -375,10 +375,10 @@ def from_window(period: int, lo: int, vals: Sequence[int]) -> Permutation:
     vals = tuple(map(int, vals))
     bad = validate(period, lo, vals)
     if bad:
-        raise InvalidPermutation(
-            "not a bijection: " + "; ".join(f"{v.kind}: {v.detail}" for v in bad),
-            bad,
-        )
+        # the message names the first few; the exception carries them all
+        shown = "; ".join(f"{v.kind}: {v.detail}" for v in bad[:3])
+        more = f" ({len(bad)} violations in all)" if len(bad) > 3 else ""
+        raise InvalidPermutation(f"not a bijection: {shown}{more}", bad)
     period, lo, vals = _canonical_fields(period, lo, vals)
     m = _raw_diff_bound(period, lo, vals)
     chi = _raw_chi(period, lo, vals)

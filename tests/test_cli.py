@@ -279,6 +279,8 @@ def test_extended_checks_rerun_finitary_paths_on_the_grid(capsys, monkeypatch):
 # shift(-15) composed with aff(7; 5 -1 9 3 -3 14 8): n -> alpha(n) + 15
 A3, A5 = "aff(3; 2 -3 4)", "aff(5; 3 -1 7 0 6)"
 S7 = "ep(k=7, lo=0; 20 14 24 18 12 29 23)"
+# the identity on the left, adjacent swaps on the right
+MIXED = "ep(k=2, lo=-2; -2 -1 1 0)"
 
 
 @pytest.mark.parametrize(
@@ -325,6 +327,7 @@ def test_extended_checks_rerun_affine_paths_on_the_grid(capsys, monkeypatch):
     ext = "--extended-checks"
     for verb in ("star", "tll", "tlr"):
         assert run(capsys, ext, verb, S7, "sigma_mod(1,4)")[0] == 0
+        assert run(capsys, ext, verb, MIXED, "sym(1; 3 1 4 2)")[0] == 0
     fold = finitary._fold_kind
     monkeypatch.setattr(finitary, "_fold_kind", lambda kind, x, v: fold("star", x, v))
     code, out, err = run(capsys, ext, "tll", A3, A5)
@@ -412,6 +415,26 @@ def test_huge_inputs_end_in_exit_codes(argv, code):
     assert "Traceback" not in proc.stderr
 
 
+def test_invalid_window_message_is_bounded(capsys):
+    # 7000 entries in decreasing order: 20998 violations, 3 of them named
+    text = "ep(k=1, lo=1; " + " ".join(str(7000 - i) for i in range(7000)) + ")"
+    src = os.path.dirname(os.path.dirname(demazure.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "demaz", "inverse", text],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert len(proc.stderr.encode()) < 1024, len(proc.stderr)
+    assert "duplicate-image: alpha(0) = alpha(2) = 6999;" in proc.stderr
+    assert proc.stderr.endswith("(20998 violations in all)\n")
+    assert "Traceback" not in proc.stderr
+    # validate still lists every violation
+    code, out, err = run(capsys, "validate", text)
+    assert (code, out) == (1, "invalid\n")
+    assert len(err.splitlines()) == 20998
+
+
 # finitary, globally periodic and periodized pairs, all with equal tails
 FOLDED = [
     ("sym(1; 3 1 4 2)", "sym(1; 2 1)"),
@@ -434,7 +457,8 @@ FOLDED = [
         # vacuously
         (["compare", "wleft", "sym(1; 2 1)", "sym(1; 3 2 1)"], True),
         (["rankgrid", "glue", "sym(1; 2 1)", "sym(1; 1 3 2)"], True),
-        (["star", "ep(k=2, lo=-2; -2 -1 1 0)", "sym(1; 2 1)"], True),
+        # a mixed-tail operand: two folds and a stitch
+        (["star", "ep(k=2, lo=-2; -2 -1 1 0)", "sym(1; 2 1)"], False),
         # essential cells and counts on permutations, no rank table
         (["compare", "leq", "sym(1; 2 1)", "sym(1; 3 2 1)"], False),
         (["compare", "leq", S7, A5], False),
@@ -444,6 +468,9 @@ FOLDED = [
         (["render", "gamma(3,5)", "--arange=-2:4", "--brange=-3:3"], False),
         (["render", A3, "--format=svg", "--mode=profiles", "--arange=-2:4",
           "--brange=-3:3"], False),
+        (["tll", "aff(3; 2 -3 4)", "ep(k=3, lo=-3; -3 -2 -1 1 2 0)"], False),
+        (["tlr", "ep(k=3, lo=-2; -3 -2 -1 2 0 1)", "ep(k=2, lo=-2; -2 -1 1 0)"],
+         False),
     ],
 )
 def test_fold_verbs_never_import_numpy(argv, numpy):
@@ -470,4 +497,4 @@ def test_numpy_free_verbs_match_their_goldens():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.endswith("23 of 23 numpy-free CLI goldens match\n")
+    assert proc.stdout.endswith("34 of 34 numpy-free CLI goldens match\n")

@@ -1,20 +1,24 @@
 """The word-fold engine against the grid engine and the brute-force oracles.
 
-Every product of two operands with equal tails has two implementations: the
-affine word fold of demaz.finitary, which star/tll/tlr use, and the slipface
-grid engine, which serves every pair.  Both must give the same permutations.
-The fold runs on one period: the union window for period-1 pairs, the lcm
-of the periods for globally periodic pairs, a periodization around the
-windows otherwise.  Period-1 pairs are tested on random S_d, against the
-extremal oracles, with large shifts on either side, windows far from 0 and
-unequal two-block shuffles; Bruhat comparison of the same pairs, which reads
-rank tables on the left side's window, must give the grid comparison's
-verdict and witness cell.  Periodic pairs are tested on coprime periods,
-large shifts, large diff bounds, windows far from 0 and shifted operands in
-both frames of the shift factoring, with a spy on the period size; an
-associativity test mixes them with mixed-tail operands, which take the
-grid.  The word generator is checked on its own: its letters rebuild the
-inverse, each is a descent, and wrap letters occur exactly off the
+Every product has two implementations: the affine word fold of
+demaz.finitary, which star/tll/tlr use, and the slipface grid engine
+(``grid_product``), which serves every pair as the reference.  Both must
+give the same permutations.  For operands with equal tails the fold runs on
+one period: the union window for period-1 pairs, the lcm of the periods for
+globally periodic pairs, a periodization around the windows otherwise; a
+pair with a mixed-tail operand folds the operands closed at each end and
+stitches the two results.  Period-1 pairs are tested on random S_d, against
+the extremal oracles, with large shifts on either side, windows far from 0
+and unequal two-block shuffles; Bruhat comparison of the same pairs, which
+reads rank tables on the left side's window, must give the grid
+comparison's verdict and witness cell.  Periodic pairs are tested on
+coprime periods, large shifts, large diff bounds, windows far from 0 and
+shifted operands in both frames of the shift factoring, with a spy on the
+period size.  Mixed-tail pairs are tested with each other, with zoo
+members and affines, inverted and shifted, and on S_d middles over period-2
+and period-3 germs; an associativity test mixes them with equal-tail
+operands.  The word generator is checked on its own: its letters rebuild
+the inverse, each is a descent, and wrap letters occur exactly off the
 symmetric-group case.
 """
 
@@ -54,8 +58,8 @@ from demaz import (
     tlr,
     weak_left_leq,
 )
-from demaz import finitary, perm
-from demaz.demazure import product_path
+from demaz import demazure, finitary, perm
+from demaz.demazure import grid_product
 from demaz.oracle import (
     oracle_greedy_max,
     oracle_star_sd,
@@ -226,7 +230,6 @@ def test_size_caps_apply_before_allocation(rng):
 
 
 def assert_affine_agree(p, q):
-    assert product_path(p, q) == "affine", (p, q)
     for kind, fast in FAST.items():
         assert fast(p, q) == grid(kind, p, q), (kind, p, q)
 
@@ -426,23 +429,24 @@ def test_affine_size_caps_apply_before_folding(rng, monkeypatch):
         tll(p, wide)
 
 
-def test_only_mixed_tail_operands_take_the_grid(rng):
+def test_has_equal_tails_classifies_the_operands(rng):
     a = rand_affine(rng, 3, 1)
     s = sym(rng, 4)
     bent = star(a, s)  # equal tails, but not globally periodic
     assert finitary.has_equal_tails(bent) and not finitary.is_affine(bent)
-    for p, q in ((bent, a), (s, a), (a, make_gamma(2, 1)), (bent, s)):
-        assert product_path(p, q) == "affine", (p, q)
-    for p, q in ((make_shift(3), a), (make_shift(3), s), (s, make_gamma(1, 2))):
-        assert product_path(p, q) == "affine", (p, q)
+    for p in (a, s, bent, make_shift(3), make_gamma(2, 1), compose(s, a)):
+        assert finitary.has_equal_tails(p), p
     mixed = from_window(2, -2, [-2, -1, 1, 0])
     assert not finitary.has_equal_tails(mixed)
-    for p, q in ((mixed, a), (s, mixed), (mixed, mixed_tails(rng))):
-        assert product_path(p, q) == "grid", (p, q)
     for _ in range(20):
         m = mixed_tails(rng)
         assert not finitary.has_equal_tails(m), m
-        assert product_path(m, a) == product_path(s, m) == "grid"
+        # the germs: its first and last periods repeated
+        k = m.period
+        left = from_window(k, m.lo, m.vals[:k])
+        right = from_window(k, m.hi - k + 1, m.vals[-k:])
+        assert finitary.is_affine(left) and finitary.is_affine(right)
+        assert left != right and left.chi == right.chi == m.chi, m
 
 
 # ---------------------------------------------------------------------------
@@ -546,12 +550,9 @@ def test_shifted_periodized_pairs_agree_with_grid(chi):
     if chi <= 50:
         assert_affine_agree(p, a)
         return
-    # the grid's box grows with the shift, so at chi = 200 it computes the
-    # shift-0 factor instead, which step 0 of affine_product translates
-    assert product_path(p, a) == "affine"
-    p0 = compose(make_shift(-chi), p)
-    for kind, fast in FAST.items():
-        assert fast(p, a) == compose(make_shift(chi), grid(kind, p0, a)), kind
+    # the unfactored grid's boxes grow with the shift (seconds to minutes
+    # per kind at chi = 200); grid_product factors the shifts out first
+    assert_grid_agree(p, a)
 
 
 def counter_shifted_pair(chi):
@@ -592,8 +593,8 @@ def test_factoring_the_shifts_never_grows_the_period(monkeypatch):
 
 
 def test_associativity_across_engines(rng):
-    # mixed-tail operands take the grid, equal-tail ones the folds, so each
-    # engine's products feed the other's
+    # mixed-tail operands take the stitch, equal-tail ones a single fold, so
+    # each kind of product feeds the other
     equal = [rand_affine(rng, 2, 1), star(rand_affine(rng, 3, 1), sym(rng, 3))]
     equal += [sym(rng, 3, -1), make_gamma(1, 2)]
     for _ in range(8):
@@ -613,13 +614,14 @@ def test_products_of_a_zoo_pass_build_no_grid(rng, monkeypatch):
                     spy = lambda *a, _f=f, _n=fn: calls.append(_n) or _f(*a)
                     monkeypatch.setattr(mod, fn, spy)
     pool = equal_tail_pool(rng)
+    pool += [mixed_tails(rng) for _ in range(6)]
+    rng.shuffle(pool)
     for p, q in zip(pool, pool[5:] + pool[:5]):
-        assert product_path(p, q) != "grid"
         for fast in FAST.values():
             fast(p, q)
         reduce(p, q, star(p, q))
     assert calls == []
-    star(mixed_tails(rng), pool[0])  # the spies do see the grid engine
+    demazure.grid_product("star", pool[0], pool[1])  # the spies see the grid
     assert "grid_product" in calls and "sf_from_perm" in calls
 
 
@@ -669,3 +671,113 @@ def test_affine_fold_checks_both_operands_before_numpy(monkeypatch):
         for p, q in ((huge, make_affine([1, 0], 2)), (make_shift(1), huge)):
             with pytest.raises(ResourceLimit, match=r"period 2 and diff_bound \d{20,} "):
                 fast(p, q)
+
+
+# ---------------------------------------------------------------------------
+# stitched fold: a mixed-tail operand
+
+
+def assert_grid_agree(p, q):
+    for kind, fast in FAST.items():
+        assert fast(p, q) == grid_product(kind, p, q), (kind, p, q)
+
+
+def test_mixed_tail_pairs_agree_with_grid(rng):
+    for _ in range(12):
+        m = mixed_tails(rng)
+        for other in (mixed_tails(rng), m, zoo_perm(rng), rand_affine(rng, 3, 1)):
+            assert_grid_agree(m, other)
+            assert_grid_agree(other, m)
+
+
+def test_inverted_and_shifted_mixed_tails_agree_with_grid(rng):
+    for chi in (4, -5):
+        m, n = mixed_tails(rng), mixed_tails(rng)
+        assert_grid_agree(inverse(m), compose(n, make_shift(chi)))
+        assert_grid_agree(compose(make_shift(chi), m), inverse(n))
+        a = rand_affine(rng, rng.choice((2, 3)), 2)
+        assert_grid_agree(compose(make_shift(chi), inverse(m)), a)
+        assert_grid_agree(a, compose(m, make_shift(-chi)))
+
+
+# the identity on the left; on the right, adjacent swaps and a 3-cycle in
+# every block of three
+MIXED_GERMS = [
+    from_window(2, -2, [-2, -1, 1, 0]),
+    from_window(3, -3, [-3, -2, -1, 1, 2, 0]),
+]
+
+
+@pytest.mark.parametrize("m", MIXED_GERMS, ids=["period-2", "period-3"])
+def test_sd_middles_over_periodic_germs_agree_with_grid(m):
+    rng = random.Random(m.period)
+    s, t = sym(rng, 40, -3), sym(rng, 40)
+    p = compose(m, s)
+    assert not finitary.has_equal_tails(p)
+    assert_grid_agree(p, t)
+    assert_grid_agree(inverse(t), compose(make_shift(3), inverse(p)))
+    s = sym(rng, 80)
+    assert star(compose(m, s), s) == grid_product("star", compose(m, s), s)
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("m", MIXED_GERMS, ids=["period-2", "period-3"])
+def test_s80_middles_over_periodic_germs_agree_with_grid(m):
+    rng = random.Random(80 + m.period)
+    s = sym(rng, 80)
+    assert_grid_agree(compose(m, s), s)
+    assert_grid_agree(s, inverse(compose(m, s)))
+
+
+def test_mixed_tail_window_2000_builds_no_grid(monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("built a grid")
+
+    monkeypatch.setattr(demazure, "grid_product", no_grid)
+    monkeypatch.setattr(demazure, "sf_from_perm", no_grid)
+    rng = random.Random(2000)
+    m, s = MIXED_GERMS[0], sym(rng, 2000)
+    r = star(compose(m, s), s)
+    # its tails are the germ products: m's germs against the identity
+    assert r.period == 2 and r.chi == 0 and not finitary.has_equal_tails(r)
+    assert r.vals[:2] == (r.lo, r.lo + 1)
+
+
+def test_stitch_certificate_fires(monkeypatch):
+    # the margins are proven, not tight: the closures agree with the
+    # operands a little past their cuts, so on this pair (margins 3 and 3)
+    # the folds stay right with two less on each side and differ with three
+    p, q = from_window(2, 2, [2, 3, 5, 4]), make_shift(-1)
+    right = star(p, q)
+    margins = finitary._stitch_margins
+    monkeypatch.setattr(
+        finitary, "_stitch_margins", lambda p, q: [x - 3 for x in margins(p, q)]
+    )
+    with pytest.raises(InternalInconsistency, match=r"left and right folds differ at"):
+        star(p, q)
+    monkeypatch.setattr(finitary, "_stitch_margins", margins)
+    assert star(p, q) == right == grid_product("star", p, q)
+
+
+def test_closed_windows_are_capped_before_they_are_built(rng, monkeypatch):
+    def no_fold(*args):
+        raise AssertionError("folded past the window cap")
+
+    m = compose(MIXED_GERMS[0], sym(rng, 30))
+    monkeypatch.setattr(finitary, "_fold_kind", no_fold)
+    monkeypatch.setattr(perm, "_max_window", 60)
+    for fast in FAST.values():
+        with pytest.raises(ResourceLimit, match=r"closed window of \d+ entries exceeds cap 60"):
+            fast(m, make_shift(0))
+
+
+def test_factored_grid_equals_the_unfactored_grid(rng):
+    pairs = 0
+    while pairs < 12:
+        p, q = zoo_perm(rng), zoo_perm(rng)
+        if max(abs(p.chi), abs(q.chi)) > 5 or not (p.chi or q.chi):
+            continue
+        pairs += 1
+        for kind in FAST:
+            assert grid_product(kind, p, q) == grid(kind, p, q), (kind, p, q)
+

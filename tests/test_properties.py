@@ -10,6 +10,7 @@ from demaz import (
     delta_s,
     eval_s,
     format_perm,
+    from_window,
     identity,
     inv_count,
     inverse,
@@ -28,9 +29,11 @@ from demaz import (
     shift_of,
     star,
     tll,
+    tlr,
     weak_left_leq,
     write_slipface,
 )
+from demaz.demazure import grid_product
 
 one_line = (
     st.integers(2, 5)
@@ -52,6 +55,24 @@ gammas = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(lambda t: make_gamm
 atoms = st.one_of(one_line, shifts, affine(2), affine(3), gammas)
 perms = st.one_of(atoms, st.tuples(atoms, atoms).map(lambda t: star(*t)))
 cells = st.integers(-9, 9)
+
+
+def _mixed(block, invert, chi):
+    # the identity left of -k, the block permutation in every period right
+    # of it, like conftest.mixed_tails
+    k = len(block)
+    p = from_window(k, -k, list(range(-k, 0)) + block)
+    p = inverse(p) if invert else p
+    return compose(make_shift(chi), p)
+
+
+mixed_tails = st.tuples(
+    st.integers(2, 4)
+    .flatmap(lambda k: st.permutations(list(range(k))))
+    .filter(lambda b: b != sorted(b)),
+    st.booleans(),
+    st.integers(-3, 3),
+).map(lambda t: _mixed(*t))
 
 
 @given(perms, cells, cells)
@@ -163,3 +184,11 @@ def test_star_monotone_both_sides(p, q, r):
     if bruhat_leq(p, q):
         assert bruhat_leq(star(p, r), star(q, r))
         assert bruhat_leq(star(r, p), star(r, q))
+
+
+@given(mixed_tails, st.one_of(mixed_tails, perms), st.booleans())
+@settings(deadline=None)
+def test_stitched_fold_equals_the_grid(m, other, flip):
+    p, q = (other, m) if flip else (m, other)
+    for kind, fast in (("star", star), ("tll", tll), ("tlr", tlr)):
+        assert fast(p, q) == grid_product(kind, p, q), kind
