@@ -4,16 +4,18 @@ Verbs: star|tll|tlr|compose|inverse|compare|ess|inv|render|rankgrid|validate|ora
 Results go to standard output, diagnostics to standard error.  Exit codes:
 0 success (or a true comparison), 1 false comparison / failed validation,
 2 parse error, 3 domain error, 4 resource cap exceeded.
+
+Each verb handler imports the modules it runs, so a call loads only those:
+the permutation verbs never load the slipface grid engine (``slipface``) or
+the brute-force ``oracle``, and ``json`` loads for ``--json`` alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from . import demazure, oracle, order
 from .errors import (
     DemazError,
     InvalidPermutation,
@@ -29,18 +31,6 @@ from .perm import (
     is_finitary,
     compose,
     set_max_window,
-)
-from .render import RenderSpec, render
-from .slipface import (
-    ess_set,
-    read_slipface,
-    sf_from_perm,
-    sf_leq_ess,
-    sf_leq_grid,
-    sf_star,
-    sf_to_perm,
-    sf_validate,
-    write_slipface,
 )
 
 
@@ -60,6 +50,8 @@ def _emit(text: str) -> None:
 
 
 def _emit_json(obj) -> None:
+    import json
+
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
@@ -69,6 +61,8 @@ def _emit_perm(p: Permutation, as_json: bool, extended: bool) -> None:
     else:
         _emit(format_perm(p))
     if extended:
+        from .slipface import sf_from_perm, sf_validate
+
         if parse_perm(format_perm(p)) != p:
             raise DemazError("extended check failed: format round trip")
         bad = sf_validate(sf_from_perm(p))
@@ -79,6 +73,8 @@ def _emit_perm(p: Permutation, as_json: bool, extended: bool) -> None:
 def _load_render_arg(arg: str):
     """A slipface from a grid file, else a permutation expression."""
     if os.path.exists(arg):
+        from .slipface import read_slipface
+
         with open(arg, "r", encoding="utf-8") as fh:
             return read_slipface(fh.read())
     return parse_perm(arg)
@@ -86,6 +82,8 @@ def _load_render_arg(arg: str):
 
 def _load_slipface_arg(arg: str):
     """A slipface from either a permutation expression or a grid file."""
+    from .slipface import sf_from_perm
+
     s = _load_render_arg(arg)
     return sf_from_perm(s) if isinstance(s, Permutation) else s
 
@@ -103,20 +101,18 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_compute(args) -> int:
-    ops = {
-        "star": demazure.star,
-        "tll": demazure.tll,
-        "tlr": demazure.tlr,
-        "compose": compose,
-    }
     a = parse_perm(args.a)
     if args.verb == "inverse":
         _emit_perm(inverse(a), args.json, args.extended_checks)
         return 0
     b = parse_perm(args.b)
-    r = ops[args.verb](a, b)
-    if args.extended_checks and args.verb != "compose":
-        if demazure.grid_product(args.verb, a, b) != r:
+    if args.verb == "compose":
+        r = compose(a, b)
+    else:
+        from . import demazure
+
+        r = getattr(demazure, args.verb)(a, b)
+        if args.extended_checks and demazure.grid_product(args.verb, a, b) != r:
             raise DemazError(
                 f"extended check failed: affine {args.verb} differs from "
                 "the grid engine"
@@ -126,6 +122,8 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from . import order
+
     a, b = parse_perm(args.a), parse_perm(args.b)
     rels = {
         "leq": order.bruhat_leq_witness,
@@ -140,6 +138,8 @@ def _cmd_compare(args) -> int:
     else:
         ok, wit = rels[args.rel](a, b)
     if args.extended_checks and args.rel == "leq":
+        from .slipface import sf_from_perm, sf_leq_ess, sf_leq_grid
+
         sa, sb = sf_from_perm(a), sf_from_perm(b)
         if sf_leq_grid(sa, sb)[0] != ok:
             raise DemazError("extended check failed: comparators disagree")
@@ -167,10 +167,15 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_ess(args) -> int:
+    from .order import perm_ess_set
+
     p = parse_perm(args.a)
-    e = order.perm_ess_set(p)
-    if args.extended_checks and e != ess_set(sf_from_perm(p)):
-        raise DemazError("extended check failed: ess differs from the grid engine")
+    e = perm_ess_set(p)
+    if args.extended_checks:
+        from .slipface import ess_set, sf_from_perm
+
+        if e != ess_set(sf_from_perm(p)):
+            raise DemazError("extended check failed: ess differs from the grid engine")
     if args.json:
         _emit_json(
             {
@@ -205,6 +210,8 @@ def _cmd_inv(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .render import RenderSpec, render
+
     s = _load_render_arg(args.a)
     a_lo, a_hi = _parse_range(args.arange)
     b_lo, b_hi = _parse_range(args.brange)
@@ -222,6 +229,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_rankgrid(args) -> int:
+    from .slipface import sf_star, sf_to_perm, write_slipface
+
     if args.action == "to-perm":
         s = _load_slipface_arg(args.file)
         _emit_perm(sf_to_perm(s), args.json, args.extended_checks)
@@ -251,6 +260,8 @@ def _cmd_rankgrid(args) -> int:
 
 def _cmd_validate(args) -> int:
     if os.path.exists(args.a):
+        from .slipface import read_slipface
+
         try:
             with open(args.a, "r", encoding="utf-8") as fh:
                 read_slipface(fh.read())
@@ -274,6 +285,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle
+
     if args.action == "eval":
         p = parse_perm(args.a)
         from .perm import eval_s

@@ -25,7 +25,7 @@ certified witnesses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import finitary
 from .errors import InternalInconsistency, InvalidGeneratorSet, NotDominated
@@ -42,7 +42,6 @@ from .perm import (
     make_sigma_set,
 )
 from .order import bruhat_leq_witness, leq_chi
-from .slipface import sf_from_perm, sf_star, sf_tll, sf_tlr, sf_to_perm
 
 __all__ = [
     "star",
@@ -62,9 +61,6 @@ __all__ = [
 ]
 
 
-_GRID = {"star": sf_star, "tll": sf_tll, "tlr": sf_tlr}
-
-
 def grid_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
     """star, tll or tlr (by ``kind``) through the slipface grid engine, for
     any periods: the reference the word folds are checked against.  The
@@ -72,9 +68,13 @@ def grid_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
     chi_p, w = chi_q and T_chi: n -> n - chi, and kind(p, q) = T_u kind(p',
     q') T_w (step 0 of ``finitary.affine_product``), so the grids do not
     grow with |chi|."""
+    from . import slipface
+
+    grid = {"star": slipface.sf_star, "tll": slipface.sf_tll, "tlr": slipface.sf_tlr}
     u, w = p.chi, q.chi
     p0, q0 = compose(make_shift(-u), p), compose(q, make_shift(-w))
-    r = sf_to_perm(_GRID[kind](sf_from_perm(p0), sf_from_perm(q0)))
+    s0, t0 = slipface.sf_from_perm(p0), slipface.sf_from_perm(q0)
+    r = slipface.sf_to_perm(grid[kind](s0, t0))
     return compose(make_shift(u), compose(r, make_shift(w)))
 
 
@@ -214,8 +214,7 @@ def stingy_witness(p: Permutation, q: Permutation) -> Permutation:
 # reduction theorems
 
 
-@dataclass(frozen=True)
-class ReductionWitness:
+class ReductionWitness(NamedTuple):
     alpha1: Permutation
     beta1: Permutation
     gamma: Permutation
@@ -225,8 +224,7 @@ class ReductionWitness:
     product_equal: bool
 
 
-@dataclass(frozen=True)
-class ReducedTuple:
+class ReducedTuple(NamedTuple):
     factors: tuple[Permutation, ...]
     suffix_products: tuple[Permutation, ...]
 

@@ -38,8 +38,7 @@ from bisect import bisect
 
 from .errors import InternalInconsistency, ResourceLimit
 from .perm import Permutation, from_window, get_max_window
-from .perm import _images, _inversions, _raw_diff_bound
-from .slipface import _GRID_CELL_CAP
+from .perm import _GRID_CELL_CAP, _images, _inversions, _raw_diff_bound
 
 __all__ = [
     "is_affine",

@@ -19,10 +19,13 @@ the witness.
 
 from __future__ import annotations
 
+import math
 from itertools import islice
+from typing import NamedTuple
 
 from .errors import ResourceLimit
 from .perm import (
+    _GRID_CELL_CAP,
     Permutation,
     _images,
     _preimages,
@@ -31,7 +34,6 @@ from .perm import (
     first_inversion,
     inverse,
 )
-from .slipface import _GRID_CELL_CAP, EssPoint, EssSet, perm_box, scan_region
 
 __all__ = [
     "bruhat_leq",
@@ -44,6 +46,38 @@ __all__ = [
     "weak_right_leq",
     "weak_right_leq_witness",
 ]
+
+
+class EssPoint(NamedTuple):
+    a: int
+    b: int
+    value: int
+
+
+class EssSet(NamedTuple):
+    points: tuple[EssPoint, ...]
+    periodic: bool
+    period: int
+
+
+def perm_box(p: Permutation) -> tuple[int, int, int, int]:
+    """sf_from_perm(p).box: the period and band of s_p, and the box
+    [c0, c1]^2 that sf_from_perm tabulates."""
+    k, m = p.period, p.diff_bound
+    band = max(m + 1, abs(p.chi) + 1)
+    return k, band, p.lo - m - band - k - 2, p.hi + m + band + k + 2
+
+
+def scan_region(*boxes: tuple[int, int, int, int]) -> tuple[int, int, tuple[int, int]]:
+    """(r0, r1, far) for comparing slipfaces with the given boxes (see
+    perm_box): [r0, r1]^2 reaches one common period and one cell past every
+    box, and far lies beyond it on the diagonal a - b = d, the largest band,
+    where both sides equal max(0, chi + d), so s > t if chi_s > chi_t."""
+    k = math.lcm(*(box[0] for box in boxes))
+    d = max(box[1] for box in boxes)
+    r0 = min(box[2] for box in boxes) - k - 1
+    r1 = max(box[3] for box in boxes) + k + 1
+    return r0, r1, (r1 + 2 * d + 1, r1 + d + 1)
 
 
 def essential_cells(

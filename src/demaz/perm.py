@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect, bisect_left, insort
-from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -87,6 +86,9 @@ __all__ = [
 
 DEFAULT_MAX_WINDOW = 10**6
 _max_window = DEFAULT_MAX_WINDOW
+# cells of any rectangle tabulated or scanned: rank tables, slipface grids,
+# essential-cell sweeps, renderings and fold work
+_GRID_CELL_CAP = 40_000_000
 
 
 def get_max_window() -> int:
@@ -116,19 +118,46 @@ class Violation(NamedTuple):
     detail: str
 
 
-@dataclass(frozen=True)
 class Permutation:
     """Canonical window representation of an eventually periodic bijection.
 
     ``chi`` (the shift) and ``diff_bound`` (sup of ``|alpha(n) - n|``) are
-    derived caches and excluded from equality.
+    derived caches and excluded from equality.  Instances are immutable.
     """
 
+    __slots__ = ("period", "lo", "vals", "chi", "diff_bound")
     period: int
     lo: int
     vals: tuple[int, ...]
-    chi: int = field(compare=False)
-    diff_bound: int = field(compare=False)
+    chi: int
+    diff_bound: int
+
+    def __init__(
+        self, period: int, lo: int, vals: tuple[int, ...], chi: int, diff_bound: int
+    ) -> None:
+        # the slots' own setters, bound below the class, bypass __setattr__
+        _set_period(self, period)
+        _set_lo(self, lo)
+        _set_vals(self, vals)
+        _set_chi(self, chi)
+        _set_diff_bound(self, diff_bound)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a Permutation")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a Permutation")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.period, self.lo, self.vals) == (other.period, other.lo, other.vals)
+
+    def __hash__(self) -> int:
+        return hash((self.period, self.lo, self.vals))
+
+    def __reduce__(self):
+        return Permutation, (self.period, self.lo, self.vals, self.chi, self.diff_bound)
 
     @property
     def hi(self) -> int:
@@ -140,6 +169,11 @@ class Permutation:
     def __repr__(self) -> str:
         body = " ".join(str(v) for v in self.vals)
         return f"ep(k={self.period}, lo={self.lo}; {body})"
+
+
+_set_period, _set_lo, _set_vals, _set_chi, _set_diff_bound = (
+    Permutation.__dict__[name].__set__ for name in Permutation.__slots__
+)
 
 
 # ---------------------------------------------------------------------------
@@ -263,16 +297,10 @@ def validate(period: int, lo: int, vals: Sequence[int]) -> list[Violation]:
             f"window of {len(vals)} entries exceeds cap {_max_window}"
         )
 
-    left = [v % k for v in vals[:k]]
-    if len(set(left)) != k:
-        out.append(
-            Violation("residue-collision", f"left tail generator residues {left}")
-        )
-    right = [v % k for v in vals[-k:]]
-    if len(set(right)) != k:
-        out.append(
-            Violation("residue-collision", f"right tail generator residues {right}")
-        )
+    for side, start in (("left", 0), ("right", len(vals) - k)):
+        residues = [v % k for v in vals[start : start + k]]
+        if len(set(residues)) != k:
+            out.append(_residue_collision(side, lo + start, residues))
     if out:
         return out
     if _covers_each_class_once(k, vals):
@@ -284,6 +312,22 @@ def validate(period: int, lo: int, vals: Sequence[int]) -> list[Violation]:
             "residue-class count, but the band scan finds no violation"
         )
     return out
+
+
+def _residue_collision(side: str, n0: int, residues: list[int]) -> Violation:
+    """The first two of the values alpha(n0), ..., alpha(n0 + k - 1) that
+    generate one tail and share a residue mod k, given their residues, with
+    the number of distinct residues: a detail of bounded length for any k."""
+    k, seen = len(residues), {}
+    for j, r in enumerate(residues):
+        i = seen.setdefault(r, j)
+        if i != j:
+            break
+    return Violation(
+        "residue-collision",
+        f"{side} tail generator: alpha({n0 + i}) and alpha({n0 + j}) share "
+        f"residue {r} mod {k}; {len(set(residues))} of {k} residues occur",
+    )
 
 
 def _covers_each_class_once(k: int, vals: Sequence[int]) -> bool:

@@ -10,11 +10,13 @@ alone, without numpy; a Slipface is read off its grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ResourceLimit
-from .perm import Permutation, eval_s_at
-from .slipface import _GRID_CELL_CAP, Slipface, sf_eval_grid
+from .perm import _GRID_CELL_CAP, Permutation, eval_s_at
+
+if TYPE_CHECKING:  # annotations only; the grid engine loads for a Slipface
+    from .slipface import Slipface
 
 __all__ = ["RenderSpec", "render"]
 
@@ -33,8 +35,7 @@ _PALETTE = (
 )
 
 
-@dataclass(frozen=True)
-class RenderSpec:
+class _Spec(NamedTuple):
     a_lo: int
     a_hi: int
     b_lo: int
@@ -42,13 +43,22 @@ class RenderSpec:
     fmt: str = "ascii"
     mode: str = "heatmap"
 
-    def __post_init__(self):
-        if self.a_hi < self.a_lo or self.b_hi < self.b_lo:
+
+class RenderSpec(_Spec):
+    """The rectangle [a_lo, a_hi] x [b_lo, b_hi], the format and the mode of
+    a rendering; construction rejects an empty range or an unknown name."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        spec = super().__new__(cls, *args, **kwargs)
+        if spec.a_hi < spec.a_lo or spec.b_hi < spec.b_lo:
             raise ValueError("render ranges must be nonempty")
-        if self.fmt not in _FORMATS:
+        if spec.fmt not in _FORMATS:
             raise ValueError(f"format must be one of {_FORMATS}")
-        if self.mode not in _MODES:
+        if spec.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
+        return spec
 
 
 def render(s: Slipface | Permutation, spec: RenderSpec) -> str:
@@ -64,6 +74,8 @@ def render(s: Slipface | Permutation, spec: RenderSpec) -> str:
     if isinstance(s, Permutation):
         g = [list(r) for r in zip(*eval_s_at(s, [(b, rows) for b in cols]))]
     else:
+        from .slipface import sf_eval_grid
+
         g = sf_eval_grid(s, spec.a_lo, spec.a_hi, spec.b_lo, spec.b_hi).tolist()
     fn = _DISPATCH[(spec.fmt, spec.mode)]
     return fn(g, spec)

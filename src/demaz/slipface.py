@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .errors import (
     AsymptoteMismatch,
@@ -44,7 +44,8 @@ from .errors import (
     ParseError,
     ResourceLimit,
 )
-from .perm import Permutation, _relative_images, apply, from_window
+from .order import EssPoint, EssSet, perm_box, scan_region
+from .perm import _GRID_CELL_CAP, Permutation, _relative_images, apply, from_window
 
 if TYPE_CHECKING:  # annotations only; numpy loads where arrays are built
     import numpy as np
@@ -71,9 +72,6 @@ __all__ = [
     "write_slipface",
     "read_slipface",
 ]
-
-_GRID_CELL_CAP = 40_000_000
-
 
 @dataclass(frozen=True, eq=False)
 class Slipface:
@@ -199,14 +197,6 @@ def _box_frame_grid(s: Slipface) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # constructors
-
-
-def perm_box(p: Permutation) -> tuple[int, int, int, int]:
-    """sf_from_perm(p).box: the period and band of s_p, and the box
-    [c0, c1]^2 that sf_from_perm tabulates."""
-    k, m = p.period, p.diff_bound
-    band = max(m + 1, abs(p.chi) + 1)
-    return k, band, p.lo - m - band - k - 2, p.hi + m + band + k + 2
 
 
 def rank_table(p: Permutation, a0: int, a1: int, b0: int, b1: int) -> np.ndarray:
@@ -423,18 +413,6 @@ def sf_to_perm(s: Slipface) -> Permutation:
     return p
 
 
-def scan_region(*boxes: tuple[int, int, int, int]) -> tuple[int, int, tuple[int, int]]:
-    """(r0, r1, far) for comparing slipfaces with the given boxes (see
-    Slipface.box): [r0, r1]^2 reaches one common period and one cell past
-    every box, and far lies beyond it on the diagonal a - b = d, the largest
-    band, where both sides equal max(0, chi + d), so s > t if chi_s > chi_t."""
-    k = math.lcm(*(box[0] for box in boxes))
-    d = max(box[1] for box in boxes)
-    r0 = min(box[2] for box in boxes) - k - 1
-    r1 = max(box[3] for box in boxes) + k + 1
-    return r0, r1, (r1 + 2 * d + 1, r1 + d + 1)
-
-
 def sf_equal(s: Slipface, t: Slipface) -> bool:
     """Equality as functions on all of Z^2."""
     import numpy as np
@@ -450,18 +428,6 @@ def sf_equal(s: Slipface, t: Slipface) -> bool:
 
 # ---------------------------------------------------------------------------
 # essential sets and comparison
-
-
-class EssPoint(NamedTuple):
-    a: int
-    b: int
-    value: int
-
-
-class EssSet(NamedTuple):
-    points: tuple[EssPoint, ...]
-    periodic: bool
-    period: int
 
 
 def ess_mask(g: np.ndarray) -> np.ndarray:

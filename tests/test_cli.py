@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import cli_module_budget
 from conftest import zoo_perm
 
 from demaz import (
@@ -435,6 +436,27 @@ def test_invalid_window_message_is_bounded(capsys):
     assert len(err.splitlines()) == 20998
 
 
+def test_residue_collision_message_is_bounded(capsys):
+    # one period of 3000 zeros: both tail generators hit one residue
+    text = "ep(k=3000, lo=0; " + " ".join(["0"] * 3000) + ")"
+    src = os.path.dirname(os.path.dirname(demazure.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "demaz", "inverse", text],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert len(proc.stderr.encode()) < 1024, len(proc.stderr)
+    assert "Traceback" not in proc.stderr
+    detail = "alpha(0) and alpha(1) share residue 0 mod 3000; 1 of 3000 residues occur"
+    code, out, err = run(capsys, "validate", text)
+    assert (code, out) == (1, "invalid\n")
+    assert err.splitlines() == [
+        f"invalid: residue-collision: {side} tail generator: {detail}"
+        for side in ("left", "right")
+    ]
+
+
 # finitary, globally periodic and periodized pairs, all with equal tails
 FOLDED = [
     ("sym(1; 3 1 4 2)", "sym(1; 2 1)"),
@@ -498,3 +520,15 @@ def test_numpy_free_verbs_match_their_goldens():
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.endswith("34 of 34 numpy-free CLI goldens match\n")
+
+
+@pytest.mark.parametrize("argv, code", cli_module_budget.LIGHT)
+def test_permutation_verbs_keep_their_module_budget(argv, code):
+    # a fresh interpreter per verb: no grid engine, oracle, dataclasses,
+    # inspect or numpy
+    assert cli_module_budget.loaded(argv) == (code, [])
+
+
+@pytest.mark.parametrize("argv", cli_module_budget.GRID)
+def test_grid_verbs_load_the_grid_engine(argv):
+    assert "demaz.slipface" in cli_module_budget.loaded(argv)[1]

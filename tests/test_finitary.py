@@ -58,7 +58,7 @@ from demaz import (
     tlr,
     weak_left_leq,
 )
-from demaz import demazure, finitary, perm
+from demaz import demazure, finitary, perm, slipface
 from demaz.demazure import grid_product
 from demaz.oracle import (
     oracle_greedy_max,
@@ -734,7 +734,10 @@ def test_mixed_tail_window_2000_builds_no_grid(monkeypatch):
         raise AssertionError("built a grid")
 
     monkeypatch.setattr(demazure, "grid_product", no_grid)
-    monkeypatch.setattr(demazure, "sf_from_perm", no_grid)
+    # the grid engine loads where grid_product runs; the spy sits there
+    monkeypatch.setattr(slipface, "sf_from_perm", no_grid)
+    with pytest.raises(AssertionError, match="built a grid"):
+        grid_product("star", MIXED_GERMS[0], make_shift(0))
     rng = random.Random(2000)
     m, s = MIXED_GERMS[0], sym(rng, 2000)
     r = star(compose(m, s), s)
