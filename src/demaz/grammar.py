@@ -38,6 +38,10 @@ __all__ = ["parse_perm", "format_perm"]
 _INT = re.compile(r"[+-]?[0-9]+")
 # a whitespace-separated run of them; a sign starts a new integer
 _INT_RUN = re.compile(r"[+-]?[0-9]+(?:\s*[+-]?[0-9]+)*")
+# the canonical text format_perm writes, read without the scanner
+_CANONICAL = re.compile(
+    r"ep\(k=([+-]?[0-9]+), lo=([+-]?[0-9]+); ([+-]?[0-9]+(?: [+-]?[0-9]+)*)\)"
+)
 
 
 class _Scanner:
@@ -118,7 +122,25 @@ class _Scanner:
 
 
 def parse_perm(text: str) -> Permutation:
-    """Parse one permutation expression; errors carry the failing position."""
+    """Parse one permutation expression; errors carry the failing position.
+
+    Canonical text is read by one pattern match; every other form, and
+    canonical text holding an integer past the digit limit, by the scanner,
+    which accepts the same canonical texts with the same values.
+    """
+    ep = _CANONICAL.fullmatch(text)
+    if ep is not None:
+        try:
+            k, lo, vals = int(ep[1]), int(ep[2]), list(map(int, ep[3].split(" ")))
+        except ValueError:  # past the digit limit: the scanner locates it
+            pass
+        else:
+            return from_window(k, lo, vals)
+    return _parse_scanned(text)
+
+
+def _parse_scanned(text: str) -> Permutation:
+    """parse_perm by the scanner alone: every form, and every error."""
     sc = _Scanner(text)
     head = sc.ident()
     sc.expect("(")
@@ -179,5 +201,7 @@ def parse_perm(text: str) -> Permutation:
 
 def format_perm(p: Permutation) -> str:
     """Canonical textual form; inverse of parse_perm on canonical values."""
-    body = " ".join(str(v) for v in p.vals)
+    # a list display of str() calls joins faster than map(str, ...) or a
+    # generator on CPython 3.11 and 3.12
+    body = " ".join([str(v) for v in p.vals])
     return f"ep(k={p.period}, lo={p.lo}; {body})"

@@ -195,26 +195,27 @@ def _images(period: int, lo: int, vals: Sequence[int], n0: int, n1: int) -> list
     class of each tail by one range, since alpha(n) - n is constant on a
     class within a tail (see _tail_apply)."""
     k, w = period, len(vals)
-    hi = lo + w - 1
-    out = [0] * (n1 - n0 + 1) if n0 <= n1 else []
-    if n0 < lo:
-        stop = n1 if n1 < lo else lo - 1
-        for j in range(k):
-            # the class of lo + j, from its first n >= n0 to stop
-            c = n0 + (lo + j - n0) % k
-            if c <= stop:
-                d = vals[j] - lo - j
-                out[c - n0 : stop - n0 + 1 : k] = range(c + d, stop + d + 1, k)
-    if n1 > hi:
-        start = n0 if n0 > hi else hi + 1
-        for j in range(w - k, w):
-            c = start + (lo + j - start) % k
-            if c <= n1:
-                d = vals[j] - lo - j
-                out[c - n0 :: k] = range(c + d, n1 + d + 1, k)
-    w0, w1 = (n0 if n0 > lo else lo), (n1 if n1 < hi else hi)
-    if w0 <= w1:
-        out[w0 - n0 : w1 - n0 + 1] = vals[w0 - lo : w1 - lo + 1]
+    # offsets i = n - lo into the window, half-open [i0, i1)
+    i0, i1 = n0 - lo, n1 - lo + 1
+    if 0 <= i0 and i1 <= w:
+        return list(vals[i0:i1])
+    out = [0] * (i1 - i0) if i0 < i1 else []
+    if i0 < 0:
+        e = i1 if i1 < 0 else 0
+        for j, v in enumerate(vals[:k]):
+            # the class of offset j, from its first offset c >= i0 to e
+            c = i0 + (j - i0) % k
+            if c < e:
+                out[c - i0 : e - i0 : k] = range(v + c - j, v + e - j, k)
+    if i1 > w:
+        s = i0 if i0 > w else w
+        for j, v in enumerate(vals[w - k :], w - k):
+            c = s + (j - s) % k
+            if c < i1:
+                out[c - i0 :: k] = range(v + c - j, v + i1 - j, k)
+    a, b = (i0 if i0 > 0 else 0), (i1 if i1 < w else w)
+    if a < b:
+        out[a - i0 : b - i0] = vals[a:b]
     return out
 
 
@@ -249,15 +250,6 @@ def _raw_diff_bound(period: int, lo: int, vals: Sequence[int]) -> int:
     return max(map(abs, map(operator.sub, vals, range(lo, lo + len(vals)))))
 
 
-def _raw_chi(period: int, lo: int, vals: Sequence[int]) -> int:
-    # the net flow of integers across a cut is chi wherever the cut lies;
-    # averaged over one period of cuts deep in the right tail it is minus
-    # the mean displacement alpha(n) - n over the last period of the window
-    # (that sum is a multiple of the period)
-    n = len(vals)
-    return -(sum(vals[i] - lo - i for i in range(n - period, n)) // period)
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -265,21 +257,22 @@ def _raw_chi(period: int, lo: int, vals: Sequence[int]) -> int:
 def validate(period: int, lo: int, vals: Sequence[int]) -> list[Violation]:
     """Check that raw window fields describe a bijection of the integers.
 
-    Returns a list of violations (empty means valid).  First the first and
-    last ``period`` window values must each form a complete residue system
-    modulo ``period`` (tail injectivity and coverage).  Then the verdict is
-    read class by class: with ``L_r`` and ``R_r`` the first and last of those
+    Returns a list of violations (empty means valid).  After the period and
+    window-cap checks, ``_covers_each_class_once`` reads the verdict in one
+    pass: the first and last ``period`` window values must each form a
+    complete residue system modulo ``period`` (tail injectivity and
+    coverage), and then, with ``L_r`` and ``R_r`` the first and last of those
     values in class r, the left tail hits class r exactly below ``L_r`` and
     the right tail exactly above ``R_r``, so the map is a bijection exactly
     when the window's values are distinct, each lies in ``[L_r, R_r]`` of its
-    class, and their number is ``sum_r ((R_r - L_r) / period + 1)``: one pass
-    over the window.
+    class, and their number is ``sum_r ((R_r - L_r) / period + 1)``.
 
-    Only a window that fails this count is scanned on a guard band, to list
-    its violations: colliding images (any colliding pair lies within
-    ``2*diff_bound`` of each other, and pure-tail collisions are excluded by
-    the residue check) and targets near the window with no or several
-    preimages within ``diff_bound`` of them.
+    Only a window that fails is examined further, to list its violations:
+    first the residue collisions of either end, else a scan of a guard band
+    for colliding images (any colliding pair lies within ``2*diff_bound`` of
+    each other, and pure-tail collisions are excluded by the residue check)
+    and targets near the window with no or several preimages within
+    ``diff_bound`` of them.
     """
     out: list[Violation] = []
     k = period
@@ -296,6 +289,8 @@ def validate(period: int, lo: int, vals: Sequence[int]) -> list[Violation]:
         raise ResourceLimit(
             f"window of {len(vals)} entries exceeds cap {_max_window}"
         )
+    if _covers_each_class_once(k, vals):
+        return []
 
     for side, start in (("left", 0), ("right", len(vals) - k)):
         residues = [v % k for v in vals[start : start + k]]
@@ -303,8 +298,6 @@ def validate(period: int, lo: int, vals: Sequence[int]) -> list[Violation]:
             out.append(_residue_collision(side, lo + start, residues))
     if out:
         return out
-    if _covers_each_class_once(k, vals):
-        return []
     out = _band_violations(k, lo, vals)
     if not out:
         raise InternalInconsistency(
@@ -331,16 +324,20 @@ def _residue_collision(side: str, n0: int, residues: list[int]) -> Violation:
 
 
 def _covers_each_class_once(k: int, vals: Sequence[int]) -> bool:
-    """The residue-class verdict of ``validate`` (both residue systems hold)."""
-    first = {v % k: v for v in vals[:k]}
-    last = {v % k: v for v in vals[-k:]}
-    if sum((last[r] - first[r]) // k for r in first) + k != len(vals):
-        return False
+    """The verdict of ``validate`` on a window within the caps: both end
+    residue systems are complete and each class is covered once."""
     if k == 1:  # one class, spanning [vals[0], vals[-1]]
         inside = min(vals) == vals[0] and max(vals) == vals[-1]
+        count = vals[-1] - vals[0] + 1
     else:
+        first = {v % k: v for v in vals[:k]}
+        last = {v % k: v for v in vals[-k:]}
+        if len(first) < k or len(last) < k:
+            return False
         inside = all(first[v % k] <= v <= last[v % k] for v in vals)
-    return inside and len(set(vals)) == len(vals)
+        # R_r - L_r is a multiple of k in each class
+        count = (sum(last.values()) - sum(first.values())) // k + k
+    return inside and count == len(vals) == len(set(vals))
 
 
 def _band_violations(k: int, lo: int, vals: Sequence[int]) -> list[Violation]:
@@ -377,56 +374,79 @@ def _band_violations(k: int, lo: int, vals: Sequence[int]) -> list[Violation]:
 # canonical form
 
 
-def _divisors(k: int) -> list[int]:
-    return [d for d in range(1, k + 1) if k % d == 0]
-
-
 def _canonical_fields(
     period: int, lo: int, vals: Sequence[int]
-) -> tuple[int, int, tuple[int, ...]]:
-    k = period
-    pad = 2 * k + 2
-    hi = lo + len(vals) - 1
-    # a[i] = alpha(lo - pad + i) on [lo - pad, hi + pad], which holds every
-    # point the divisor test and the deviation scan read
-    a = [_tail_apply(k, lo, vals, n) for n in range(lo - pad, lo)]
-    a += vals
-    a += [_tail_apply(k, lo, vals, n) for n in range(hi + 1, hi + pad + 1)]
-    first, last = pad, pad + len(vals) - 1
+) -> tuple[int, int, tuple[int, ...], int, int]:
+    """The canonical (period, lo, vals, chi, diff_bound) of a valid window."""
+    k, w = period, len(vals)
+    pad = 3 * k
+    n0 = lo - pad
+    # disp[i] = alpha(n) - n at n = n0 + i on [lo - 3k, hi + 3k], which holds
+    # every point the divisor test and the deviation scan read: each tail
+    # repeats the displacements of the window's period at its end (see
+    # _tail_apply).  alpha(n + c) = alpha(n) + c iff disp agrees at n and
+    # n + c, so both compare slices of disp
+    wd = list(map(operator.sub, vals, range(lo, lo + w)))
+    disp = wd[:k] * 3 + wd + wd[-k:] * 3
+    first, last = pad, pad + w - 1
+    end = last - k + 1  # the last k window points start here
 
-    d = next(
-        (
-            c
-            for c in _divisors(k)
-            if all(a[i + c] == a[i] + c for i in range(last - k + 1, last + 1))
-            and all(a[i - c] == a[i] - c for i in range(first, first + k))
-        ),
-        k,
-    )
+    d = k  # the smallest divisor that passes; k itself always does
+    for c in range(1, k):
+        if (
+            k % c == 0
+            and disp[end + c : last + 1 + c] == disp[end : last + 1]
+            and disp[first - c : first + k - c] == disp[first : first + k]
+        ):
+            d = c
+            break
+    # the net flow of integers across a cut is chi wherever the cut lies;
+    # averaged over one period of cuts deep in the right tail it is minus
+    # the mean of disp there, which from the last k window points on has
+    # period d (that sum is a multiple of d)
+    chi = -(sum(disp[last + 1 : last + 1 + d]) // d)
 
     # deviations from pure d-periodicity; the outermost two pin the minimal
-    # window
-    span = range(first - d - k - 1, last + k + 2)
-    low = next((i for i in span if a[i + d] != a[i] + d), None)
-    if low is None:
-        return d, 0, tuple(_tail_apply(k, lo, vals, n) for n in range(d))
-    high = next(i for i in reversed(span) if a[i + d] != a[i] + d)
-    return d, lo - pad + low, tuple(a[low : high + d + 1])
+    # window, which holds the supremum of |disp| as every valid window does
+    s, e = first - d - k - 1, last + k + 2
+    dev = list(map(operator.ne, disp[s + d : e + d], disp[s:e]))
+    if True not in dev:
+        m = max(max(wd), -min(wd))
+        return d, 0, tuple(_images(k, lo, vals, 0, d - 1)), chi, m
+    low = s + dev.index(True)
+    high = e - 1 - dev[::-1].index(True) + d  # the window's last point
+    cd = disp[low : high + 1]
+    if first <= low and high <= last:
+        window = vals[low - first : high + 1 - first]
+    else:
+        window = map(operator.add, cd, range(n0 + low, n0 + high + 1))
+    return d, n0 + low, tuple(window), chi, max(max(cd), -min(cd))
 
 
 def from_window(period: int, lo: int, vals: Sequence[int]) -> Permutation:
-    """Build a Permutation from raw fields, validating and canonicalizing."""
+    """Build a Permutation from raw fields, validating and canonicalizing.
+
+    A valid window costs one pass over it and its padding, whatever its
+    diff_bound: past the period and window-cap checks,
+    ``_covers_each_class_once`` checks both end residue systems and the
+    residue-class count (see ``validate``), and ``_canonical_fields`` reads
+    the smallest period that divides ``period``, the smallest window, the
+    shift and the diff bound off one array, the displacements alpha(n) - n
+    on the window padded by three periods on each side, by comparing its
+    slices.  A window that fails goes to ``validate``, whose violations the
+    ``InvalidPermutation`` carries.
+    """
     vals = tuple(map(int, vals))
-    bad = validate(period, lo, vals)
-    if bad:
+    if not (
+        0 < period <= len(vals) <= _max_window
+        and _covers_each_class_once(period, vals)
+    ):
+        bad = validate(period, lo, vals)
         # the message names the first few; the exception carries them all
         shown = "; ".join(f"{v.kind}: {v.detail}" for v in bad[:3])
         more = f" ({len(bad)} violations in all)" if len(bad) > 3 else ""
         raise InvalidPermutation(f"not a bijection: {shown}{more}", bad)
-    period, lo, vals = _canonical_fields(period, lo, vals)
-    m = _raw_diff_bound(period, lo, vals)
-    chi = _raw_chi(period, lo, vals)
-    return Permutation(period, lo, vals, chi, m)
+    return Permutation(*_canonical_fields(period, lo, vals))
 
 
 def canonicalize(p: Permutation) -> Permutation:
@@ -569,8 +589,9 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
             f"{_max_window}"
         )
     mid = _images(q.period, q.lo, q.vals, lo_n, hi_n)
-    m0 = min(mid)
-    outer = _images(p.period, p.lo, p.vals, m0, max(mid))
+    # q moves no point by more than its diff bound
+    m0 = lo_n - q.diff_bound
+    outer = _images(p.period, p.lo, p.vals, m0, hi_n + q.diff_bound)
     return from_window(k, lo_n, [outer[v - m0] for v in mid])
 
 

@@ -1,8 +1,11 @@
 """Surface syntax: parsing expressions, formatting canonical forms."""
 
+import random
 import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from conftest import zoo_perm
 
@@ -19,7 +22,7 @@ from demaz import (
     make_sigma_set,
     parse_perm,
 )
-from demaz.grammar import _Scanner
+from demaz.grammar import _Scanner, _parse_scanned
 
 
 def test_parse_sym():
@@ -191,3 +194,131 @@ def test_integers_past_the_digit_limit_are_parse_errors(head, tail, at):
     with pytest.raises(ParseError, match=f"integer of more than {limit} digits") as ei:
         parse_perm(head + "9" * (limit + 1) + tail)
     assert ei.value.pos == at
+
+
+# texts of every form for the canonical pattern's differential test: half
+# in the canonical layout, half with any whitespace the scanner skips
+_DIGITS = "0123456789"
+_SPACES = [" ", "", "  ", "\t", "\n", "\xa0", "\u2003", "\u3000", "\x1c"]
+
+
+@st.composite
+def _integer_texts(draw, odd=3):
+    """An integer, or with odds ``odd`` in 10 a text the grammar refuses."""
+    sign = draw(st.sampled_from(["", "", "-", "+"]))
+    kind = draw(st.integers(3 - odd, 9))
+    if kind == 0:  # past the digit limit
+        return sign + draw(st.sampled_from("1937")) * (sys.get_int_max_str_digits() + 1)
+    if kind == 1:  # a digit int() reads but the grammar refuses
+        return sign + draw(st.sampled_from(["\u0663", "\uff10", "\xb2", "1\u0661"]))
+    if kind == 2:  # no digits at all
+        return sign
+    zeros = "0" * draw(st.integers(0, 2))  # leading zeros, and +0
+    return sign + zeros + draw(st.text(_DIGITS, min_size=1, max_size=2))
+
+
+def _small_valid_windows():
+    rng = random.Random(0x5EED)
+    windows = [(1, 0, "0"), (2, 0, "3 -2"), (1, -1, "0 2 1 3")]
+    for _ in range(40):
+        p = zoo_perm(rng)
+        windows.append((p.period, p.lo, " ".join(map(str, p.vals))))
+    return windows
+
+
+_VALID = _small_valid_windows()
+
+
+@st.composite
+def _texts(draw):
+    canonical = draw(st.booleans())
+    ws = (lambda: " ") if canonical else (lambda: draw(st.sampled_from(_SPACES)))
+    gap = (lambda: "") if canonical else (lambda: draw(st.sampled_from(_SPACES[:4])))
+
+    odd = draw(st.integers(0, 3))
+
+    def ints(n, sep):
+        return sep().join(draw(_integer_texts(odd)) for _ in range(n))
+
+    forms = ["ep_valid", "ep", "sym", "aff", "shift", "sigma", "sigma_mod", "gamma"]
+    form = draw(st.sampled_from(forms[:2] * 4 + forms[2:] + ["junk"]))
+    if form in ("ep", "ep_valid"):
+        if form == "ep":
+            k, lo = draw(_integer_texts(odd)), draw(_integer_texts(odd))
+            body = ints(draw(st.integers(0, 5)), ws)
+        else:
+            k, lo, body = map(str, draw(st.sampled_from(_VALID)))
+            if not canonical:  # a sign starts a new integer: "3-1" reads as 3 -1
+                body = body.replace(" -", draw(st.sampled_from([" -", "-", "\u2003-"])))
+                body = body.replace(" ", draw(st.sampled_from([" ", " +", " 0", "\t"])))
+        text = (
+            f"{gap()}ep{gap()}({gap()}k{gap()}={gap()}{k},{ws()}lo{gap()}={gap()}"
+            f"{lo};{ws()}{body}{gap()}){gap()}"
+        )
+    elif form == "junk":
+        text = draw(st.text(alphabet="ep(k=, lo;)0123-+ \u2003\u0663", max_size=30))
+    else:
+        args = {
+            "sym": lambda: f"{ints(1, ws)};{ws()}{ints(draw(st.integers(0, 4)), ws)}",
+            "aff": lambda: f"{ints(1, ws)};{ws()}{ints(draw(st.integers(0, 4)), ws)}",
+            "shift": lambda: ints(1, ws),
+            "sigma": lambda: ints(draw(st.integers(0, 3)), lambda: "," + gap()),
+            "sigma_mod": lambda: ints(2, lambda: ","),
+            "gamma": lambda: ints(2, lambda: ","),
+        }[form]()
+        text = f"{gap()}{form}({gap()}{args}{gap()}){gap()}"
+    # one character dropped or doubled now and then, short of an integer
+    # past the digit limit: one digit fewer is a huge valid integer
+    if 0 < len(text) < 1000 and draw(st.integers(0, 7)) == 0:
+        i = draw(st.integers(0, len(text) - 1))
+        text = text[:i] + draw(st.sampled_from(["", text[i] * 2])) + text[i + 1 :]
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        p = parse(text)
+    except DemazError as e:
+        return type(e), str(e), getattr(e, "pos", None), getattr(e, "violations", None)
+    return p, p.chi, p.diff_bound
+
+
+def _check_pattern_against_scanner(text):
+    assert _outcome(parse_perm, text) == _outcome(_parse_scanned, text), repr(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_texts())
+def test_canonical_pattern_matches_the_scanner(text):
+    _check_pattern_against_scanner(text)
+
+
+@pytest.mark.extended
+@settings(max_examples=10000, deadline=None)
+@given(_texts())
+def test_canonical_pattern_matches_the_scanner_extended(text):
+    _check_pattern_against_scanner(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "ep(k=1, lo=0; 0)",
+        "ep(k=+1, lo=-0; +0)",
+        "ep(k=01, lo=00; 000)",
+        "ep(k=2, lo=0; 3-2)",
+        "ep(k=2, lo=0; 3 -2",
+        "ep(k=2, lo=0;  3 -2)",
+        "ep(k=2, lo=0; 3 - 2)",
+        "ep(k=2, lo=0; 3 -)",
+        "ep(k=\u0661, lo=0; 0)",
+        "ep(k=1, lo=0; 0) ",
+        "ep(k=1, lo=0; " + "9" * 5000 + ")",
+        "ep(k=1, lo=0; -" + "9" * sys.get_int_max_str_digits() + ")",
+        "ep(k=1, lo=" + "9" * 5000 + "; 0)",
+        "ep(k=2, lo=0; 0 2)",
+        "ep(k=0, lo=0; 0)",
+    ],
+)
+def test_canonical_pattern_matches_the_scanner_at_the_edges(text):
+    _check_pattern_against_scanner(text)

@@ -53,7 +53,6 @@ from demaz.perm import (
     Violation,
     _canonical_fields,
     _covers_each_class_once,
-    _raw_chi,
     _images,
     _preimages,
     _raw_diff_bound,
@@ -434,8 +433,8 @@ def test_inversion_band_is_capped_before_allocation():
 
 
 def _chi_by_scan(k, lo, vals, bound):
-    # the count _raw_chi replaced, kept as the reference: integers carried
-    # from [0, bound] below 0, minus those carried from [-bound, -1] above
+    # the count from_window's chi replaced, kept as the reference: integers
+    # carried from [0, bound] below 0, minus those from [-bound, -1] above
     pos = sum(1 for n in range(0, bound + 1) if _tail_apply(k, lo, vals, n) < 0)
     neg = sum(1 for n in range(-bound, 0) if _tail_apply(k, lo, vals, n) >= 0)
     return pos - neg
@@ -454,7 +453,8 @@ def test_chi_matches_the_crossing_count(rng):
             lo = p.lo - pad_lo * k
             vals = [apply(p, n) for n in range(lo, p.hi + pad_hi * k + 1)]
             bound = _raw_diff_bound(k, lo, vals)
-            assert _raw_chi(k, lo, vals) == _chi_by_scan(k, lo, vals, bound), p
+            chi = from_window(k, lo, vals).chi
+            assert chi == _chi_by_scan(k, lo, vals, bound), p
             windows += 1
     assert windows == 300
     assert shift_of(make_shift(10**5)) == 10**5
@@ -563,26 +563,179 @@ def test_canonical_fields_match_the_pointwise_loops(rng):
         lo = p.lo - k * rng.randint(0, 3)
         hi = max(p.hi, lo + k - 1) + rng.randint(0, 2 * k)
         windows.append((k, lo, [apply(p, n) for n in range(lo, hi + 1)]))
-    periods = set()
+    periods, valid = set(), 0
     for k, lo, vals in windows:
-        got = _canonical_fields(k, lo, tuple(vals))
-        assert got == _canonical_by_loops(k, lo, vals), (k, lo, vals)
+        *got, chi, m = _canonical_fields(k, lo, tuple(vals))
+        assert tuple(got) == _canonical_by_loops(k, lo, vals), (k, lo, vals)
         periods.add((k, got[0]))
+        # a zoo window whose end periods are not yet in p's tails is no
+        # bijection; only a valid one has a shift and a diff bound
+        if not validate(k, lo, vals):
+            assert m == _raw_diff_bound(k, lo, vals) == _raw_diff_bound(*got)
+            bound = _raw_diff_bound(k, lo, vals)
+            assert chi == _chi_by_scan(k, lo, vals, bound), (k, lo, vals)
+            valid += 1
     # multiples reduced to a proper divisor occur, as do kept periods
     assert any(d < k for k, d in periods) and any(d == k > 1 for k, d in periods)
-    assert len(windows) > 1000, len(windows)
+    assert len(windows) > 1000 and valid > 900, (len(windows), valid)
+
+
+def _canonical_by_brute_force(k, lo, vals):
+    """The canonical permutation of a valid window from the definitions:
+    alpha evaluated point by point well beyond the window, the smallest
+    period d dividing k that both tails keep, the smallest window outside
+    which alpha(n + d) = alpha(n) + d, the shift as a crossing count and
+    the diff bound as a maximum.  The reference for from_window."""
+    hi = lo + len(vals) - 1
+    reach = 4 * k + 8
+    a0 = lo - reach
+    alpha = [_tail_apply(k, lo, vals, n) for n in range(a0, hi + reach + 1)]
+
+    def keeps(c, n):
+        return alpha[n + c - a0] == alpha[n - a0] + c
+
+    # each tail repeats its displacements with period k, so 2k points deep
+    # in each tail show whether it keeps c
+    left, right = range(a0, a0 + 2 * k), range(hi + reach - 3 * k, hi + reach - k)
+    d = min(
+        c
+        for c in range(1, k + 1)
+        if k % c == 0 and all(keeps(c, n) for n in (*left, *right))
+    )
+    dev = [n for n in range(a0, hi + reach - d + 1) if not keeps(d, n)]
+    if dev:
+        lo_c, window = dev[0], alpha[dev[0] - a0 : dev[-1] + d - a0 + 1]
+    else:
+        lo_c, window = 0, [_tail_apply(k, lo, vals, n) for n in range(d)]
+    disp = [v - n for n, v in enumerate(alpha, a0)]
+    low, high = min(disp), max(disp)
+    # the net flow of integers across the cut (a, b), n >= b with
+    # alpha(n) < a less n < b with alpha(n) >= a, is chi + a - b; at b = lo,
+    # a = lo + low no n >= lo crosses, and the n < lo that do lie within
+    # high - low of lo, however large the shift
+    crossing = sum(
+        _tail_apply(k, lo, vals, n) >= lo + low for n in range(lo - high + low, lo)
+    )
+    return d, lo_c, tuple(window), -crossing - low, max(high, -low)
+
+
+def _message_of(bad):
+    """from_window's InvalidPermutation text for a list of violations."""
+    shown = "; ".join(f"{v.kind}: {v.detail}" for v in bad[:3])
+    more = f" ({len(bad)} violations in all)" if len(bad) > 3 else ""
+    return f"not a bijection: {shown}{more}"
+
+
+def _residue_reference(k, lo, vals):
+    """validate's residue-collision violations, from their definition."""
+    out = []
+    for side, start in (("left", 0), ("right", len(vals) - k)):
+        gens = vals[start : start + k]
+        pairs = [
+            (j, i) for j in range(k) for i in range(j) if (gens[i] - gens[j]) % k == 0
+        ]
+        if pairs:
+            j, i = min(pairs)
+            out.append(Violation(
+                "residue-collision",
+                f"{side} tail generator: alpha({lo + start + i}) and "
+                f"alpha({lo + start + j}) share residue {gens[j] % k} mod {k}; "
+                f"{len({v % k for v in gens})} of {k} residues occur",
+            ))
+    return out
+
+
+def _windows_to_build(rng, count):
+    """Valid windows of permutations with periods up to 35 (zoo members,
+    mixed tails, affines of period 2 to 7 and compositions of periods 5 and
+    7), written with a multiple of the period up to 35, padded by up to
+    four periods on each side, shifted, or far from 0; and, for about half
+    of them, the same window with one entry moved or two entries swapped."""
+    for _ in range(count):
+        kind = rng.randrange(5)
+        if kind == 0:
+            p = zoo_perm(rng)
+        elif kind == 1:
+            p = mixed_tails(rng)
+        elif kind == 2:
+            p = rand_affine(rng, rng.randint(2, 7))
+        elif kind == 3:
+            p = compose(rand_affine(rng, 5, 1), rand_affine(rng, 7, 1))
+        else:
+            p = sym(rng, rng.randint(2, 9), rng.choice((10**6, -(10**6))))
+        if kind < 4 and rng.random() < 0.4:
+            p = compose(make_shift(rng.choice((1, -1)) * rng.randint(0, 10**6)), p)
+        k = p.period * rng.randint(1, max(1, 35 // p.period))
+        lo = p.lo - k - rng.randint(0, 3 * k)
+        hi = max(p.hi + k, lo + 2 * k) + rng.randint(0, 3 * k)
+        vals = _images(p.period, p.lo, p.vals, lo, hi)
+        # the band scan that lists an invalid window's violations walks
+        # ~6 diff_bound entries, so only windows of small shift are broken
+        broken = p.diff_bound < 100 and rng.random() < 0.6
+        if broken:
+            i = rng.randrange(len(vals))
+            if rng.random() < 0.5:
+                vals[i] += rng.choice((1, -1, k, -k, 2))
+            else:
+                j = rng.randrange(len(vals))
+                vals[i], vals[j] = vals[j], vals[i]
+        yield p, broken, k, lo, vals
+
+
+def _check_from_window_against_brute_force(rng, count):
+    seen = {"valid": 0, "invalid": 0, "reduced": 0}
+    for p, broken, k, lo, vals in _windows_to_build(rng, count):
+        bad = validate(k, lo, vals)
+        try:
+            q = from_window(k, lo, vals)
+        except InvalidPermutation as e:
+            assert bad and e.violations == tuple(bad), (k, lo, vals)
+            assert str(e) == _message_of(bad)
+            band = _validate_by_band(k, lo, vals)
+            assert bad == (_residue_reference(k, lo, vals) if band is None else band)
+            assert broken
+            seen["invalid"] += 1
+            continue
+        assert bad == []
+        want = _canonical_by_brute_force(k, lo, vals)
+        assert (q.period, q.lo, q.vals, q.chi, q.diff_bound) == want, (k, lo, vals)
+        if not broken:
+            assert q == p
+        seen["valid"] += 1
+        seen["reduced"] += q.period < k
+    return seen
+
+
+def test_from_window_matches_the_brute_force_definitions(rng):
+    seen = _check_from_window_against_brute_force(rng, 1000)
+    assert min(seen.values()) > 250, seen
+
+
+@pytest.mark.extended
+def test_from_window_matches_the_brute_force_definitions_extended(rng):
+    seen = _check_from_window_against_brute_force(rng, 20000)
+    assert min(seen.values()) > 5000, seen
 
 
 def test_from_window_cost_does_not_depend_on_diff_bound(monkeypatch, rng):
-    calls = 0
-    real = perm._tail_apply
+    # from_window reads a valid window's tails off its end periods: it
+    # evaluates no point through _tail_apply (the band scan of invalid
+    # windows does) and, for an affine map only, one period through _images
+    entries = applied = 0
+    real_images, real_apply = perm._images, perm._tail_apply
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
+    def counting_images(period, lo, vals, n0, n1):
+        nonlocal entries
+        entries += max(n1 - n0 + 1, 0)
+        return real_images(period, lo, vals, n0, n1)
 
-    monkeypatch.setattr(perm, "_tail_apply", counting)
+    def counting_apply(*args):
+        nonlocal applied
+        applied += 1
+        return real_apply(*args)
+
+    monkeypatch.setattr(perm, "_images", counting_images)
+    monkeypatch.setattr(perm, "_tail_apply", counting_apply)
     line = rand_line(rng, 1000)
     cases = {
         "shift": [(1, 0, (-(10**6),)), (1, 0, (-1,))],
@@ -595,11 +748,11 @@ def test_from_window_cost_does_not_depend_on_diff_bound(monkeypatch, rng):
     for name, windows in cases.items():
         counts = []
         for (k, lo, vals), far in zip(windows, (True, False)):
-            calls = 0
+            entries = applied = 0
             p = from_window(k, lo, vals)
-            counts.append(calls)
+            counts.append(entries)
             assert (p.diff_bound >= 10**5) == far
-            assert calls <= 12 * (len(vals) + k), (name, calls)
+            assert applied == 0 and entries <= k, (name, applied, entries)
         # the two windows differ in diff_bound: 10^5 or more against 1000 or less
         assert counts[0] == counts[1], (name, counts)
 
