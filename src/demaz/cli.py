@@ -7,7 +7,9 @@ Results go to standard output, diagnostics to standard error.  Exit codes:
 
 Each verb handler imports the modules it runs, so a call loads only those:
 the permutation verbs never load the slipface grid engine (``slipface``) or
-the brute-force ``oracle``, and ``json`` loads for ``--json`` alone.
+the brute-force ``oracle``, and ``json`` loads for ``--json`` alone.  The
+parser names every verb but builds only the invoked verb's subparser
+(``_Verbs``).
 """
 
 from __future__ import annotations
@@ -336,42 +338,28 @@ def _global_flags(default) -> argparse.ArgumentParser:
     return p
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    # subparsers must not re-apply defaults over flags parsed at top level,
-    # so their copy of the shared flags defaults to SUPPRESS
-    shared = _global_flags(argparse.SUPPRESS)
-    ap = argparse.ArgumentParser(
-        prog="demaz",
-        parents=[_global_flags(None)],
-        description="Demazure products and stingy adjoints on eventually "
-        "periodic permutations of the integers.",
-    )
-    sub = ap.add_subparsers(dest="verb", required=True)
-
-    for v in ("star", "tll", "tlr", "compose"):
-        sp = sub.add_parser(v, parents=[shared])
-        sp.add_argument("a")
-        sp.add_argument("b")
-        sp.set_defaults(fn=_cmd_compute)
-    sp = sub.add_parser("inverse", parents=[shared])
+def _add_pair(sp, shared) -> None:
     sp.add_argument("a")
+    sp.add_argument("b")
     sp.set_defaults(fn=_cmd_compute)
 
-    sp = sub.add_parser("compare", parents=[shared])
+
+def _add_compare(sp, shared) -> None:
     sp.add_argument("rel", choices=("leq", "leq_chi", "wleft", "wright"))
     sp.add_argument("a")
     sp.add_argument("b")
     sp.set_defaults(fn=_cmd_compare)
 
-    sp = sub.add_parser("ess", parents=[shared])
-    sp.add_argument("a")
-    sp.set_defaults(fn=_cmd_ess)
 
-    sp = sub.add_parser("inv", parents=[shared])
-    sp.add_argument("a")
-    sp.set_defaults(fn=_cmd_inv)
+def _add_one(fn):
+    def add(sp, shared) -> None:
+        sp.add_argument("a")
+        sp.set_defaults(fn=fn)
 
-    sp = sub.add_parser("render", parents=[shared])
+    return add
+
+
+def _add_render(sp, shared) -> None:
     sp.add_argument("a", help="permutation expression or slipface file")
     sp.add_argument("--format", choices=("ascii", "svg", "pgm"), default="ascii")
     sp.add_argument("--mode", choices=("heatmap", "profiles"), default="heatmap")
@@ -380,7 +368,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-o", "--output", metavar="FILE")
     sp.set_defaults(fn=_cmd_render)
 
-    sp = sub.add_parser("rankgrid", parents=[shared])
+
+def _add_rankgrid(sp, shared) -> None:
     rg = sp.add_subparsers(dest="action", required=True)
     g1 = rg.add_parser("to-perm", parents=[shared])
     g1.add_argument("file")
@@ -394,11 +383,13 @@ def _build_parser() -> argparse.ArgumentParser:
     g3.add_argument("--genus", type=int, required=True)
     g3.set_defaults(fn=_cmd_rankgrid)
 
-    sp = sub.add_parser("validate", parents=[shared])
+
+def _add_validate(sp, shared) -> None:
     sp.add_argument("a", help="permutation expression or slipface file")
     sp.set_defaults(fn=_cmd_validate)
 
-    sp = sub.add_parser("oracle", parents=[shared])
+
+def _add_oracle(sp, shared) -> None:
     oc = sp.add_subparsers(dest="action", required=True)
     o1 = oc.add_parser("eval", parents=[shared])
     o1.add_argument("a")
@@ -412,6 +403,47 @@ def _build_parser() -> argparse.ArgumentParser:
     o2.add_argument("--d", type=int, default=4)
     o2.set_defaults(fn=_cmd_oracle)
 
+
+# each verb's arguments, added to its subparser when the verb is selected
+_VERBS = {
+    "star": _add_pair,
+    "tll": _add_pair,
+    "tlr": _add_pair,
+    "compose": _add_pair,
+    "inverse": _add_one(_cmd_compute),
+    "compare": _add_compare,
+    "ess": _add_one(_cmd_ess),
+    "inv": _add_one(_cmd_inv),
+    "render": _add_render,
+    "rankgrid": _add_rankgrid,
+    "validate": _add_validate,
+    "oracle": _add_oracle,
+}
+
+
+class _Verbs(argparse._SubParsersAction):
+    """The verb subparsers, built when argparse selects a verb: ``choices``
+    names every verb for the usage line and its errors, and a call builds
+    the one subparser it parses."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        # subparsers must not re-apply defaults over flags parsed at top
+        # level, so their copy of the shared flags defaults to SUPPRESS
+        shared = _global_flags(argparse.SUPPRESS)
+        verb = values[0]
+        _VERBS[verb](self.add_parser(verb, parents=[shared]), shared)
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="demaz",
+        parents=[_global_flags(None)],
+        description="Demazure products and stingy adjoints on eventually "
+        "periodic permutations of the integers.",
+    )
+    sub = ap.add_subparsers(dest="verb", required=True, action=_Verbs)
+    sub.choices = tuple(_VERBS)
     return ap
 
 

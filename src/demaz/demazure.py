@@ -3,13 +3,24 @@
 star(a, b) is the unique permutation whose slipface is the min-plus product
 of the factors' slipfaces; tll and tlr are the Bruhat-minimal solutions of
 the corresponding one-sided inequalities.  All three fold an affine
-reduced word on one period (``finitary.affine_product``) for every pair:
-the union window for period-1 pairs, the lcm of the periods for globally
-periodic pairs, a periodization around the windows for other pairs with
-equal tails, and for a pair with a mixed-tail operand two such folds of
-the operands closed at each end, stitched between the windows.  The
-slipface grid engine and reconstruction, ``grid_product``, computes every
-pair too, as the reference.  Generator inputs (disjoint adjacent
+reduced word on one period (``finitary.affine_product``) for every pair,
+by one of three routes:
+
+- finitary factor, when the operand whose word is folded has period 1
+  (the right one for star and tll, the left one for tlr, either for
+  star): a fold on that operand's own window, the other operand's values
+  there relabelled by rank, whatever its period and tails; two period-1
+  operands fold on the span of both;
+- periodized, for the other pairs with equal tails (tll with a period-1
+  left operand, tlr with a period-1 right one, and pairs of period > 1):
+  the lcm of the periods for globally periodic pairs, else a
+  periodization around the windows;
+- stitched, for the other pairs with a mixed-tail operand: two
+  periodized folds of the operands closed at each end, stitched between
+  the windows.
+
+The slipface grid engine and reconstruction, ``grid_product``, computes
+every pair too, as the reference.  Generator inputs (disjoint adjacent
 transpositions) additionally have direct paths, ``star_sigma`` and
 ``tll_sigma``, which are kept as an independent cross-check.
 

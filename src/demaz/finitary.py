@@ -10,25 +10,35 @@ swapping positions j, j + 1 only where the running result ascends; tll
 swaps only where it descends; tlr is the mirror tlr(x, v) =
 inverse(tll(inverse(v), inverse(x))) on the period arrays.  The word is
 what insertion sort spells on one period of v^-1, then wrap letters
-s_{M-1}: O(M + l(v)) list steps.  For operands with equal tails (both
-tails of each follow one globally periodic germ, as for every period-1 or
-globally periodic permutation and for star(aff, S_d)) the period is the
-union window for period-1 pairs, the lcm K of the periods for globally
-periodic pairs, and else a periodization around the windows, cut back to
-period K.  A pair with a mixed-tail operand closes each such operand at
-each end into an equal-tail permutation, folds the left closures and the
-right closures, and stitches the two results together between the
-windows.  ``affine_product`` proves all four.
+s_{M-1}: O(M + l(v)) list steps.  Each pair takes one of three routes,
+which ``affine_product`` proves:
+
+- finitary factor: the operand whose word is folded has period 1 (q for
+  star and tll, p for tlr, either for star).  Its shift-0 factor moves
+  only an interval W, so the other operand's values on W (for p, through
+  the mirror, its values at the points q^-1(W)) are relabelled by rank
+  and folded on |W| entries, whatever that operand's period and tails.
+  Two period-1 operands fold on the span of both, with no relabelling;
+- periodized: the other pairs whose operands both have equal tails (both
+  tails of each follow one globally periodic germ, as for every period-1
+  or globally periodic permutation and for star(aff, S_d)) fold on the lcm
+  K of the periods when both are globally periodic, and else on a
+  periodization around the windows, cut back to period K;
+- stitched: a pair with a mixed-tail operand closes each such operand at
+  each end into an equal-tail permutation, folds the left closures and
+  the right closures, and stitches the two results together between the
+  windows.
 
 Each fold certifies itself: the word has exactly l(v) letters, and the
 result's length is l(x) plus (star) or minus (tll) the letters kept, all
 lengths counted independently (the inversions of the period when it maps
-onto an interval, otherwise a sort and two inversion counts).  A
-periodized result also shows the germ product at both ends of its cut, a
-stitched one has equal left and right folds on the windows, and every
-result passes ``from_window`` validation.  Size caps are checked before
-any folding.  The slipface grid engine (``demazure.grid_product``) is the
-reference.
+onto an interval, otherwise a sort and two inversion counts; for a
+finitary factor the inversions on W, which move as the whole length
+does).  A periodized result also shows the germ product at both ends of
+its cut, a stitched one has equal left and right folds on the windows, and
+every result passes ``from_window`` validation.  Size caps are checked
+before any folding.  The slipface grid engine (``demazure.grid_product``)
+is the reference.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ from bisect import bisect
 
 from .errors import InternalInconsistency, ResourceLimit
 from .perm import Permutation, from_window, get_max_window
-from .perm import _GRID_CELL_CAP, _images, _inversions, _raw_diff_bound
+from .perm import _GRID_CELL_CAP, _images, _inversions, _preimages, _raw_diff_bound
 
 __all__ = [
     "is_affine",
@@ -224,35 +234,44 @@ def _margin(p: _Factor, q: _Factor, k: int) -> tuple[int, int]:
 
 def _layout(k: int, fp: _Factor, fq: _Factor, bent: tuple[bool, bool]):
     """(c, M, X) of ``affine_product`` for the factors fp, fq, of which
-    those flagged in bent are not globally periodic."""
+    those flagged in bent are not globally periodic, K > 1."""
     spans = [f for f, flag in zip((fp, fq), bent) if flag]
     if not spans:
         return 0, k, 0
     lo = min([start + period for period, start, _, _ in spans])
     hi = max([start + len(vals) - 1 - period for period, start, vals, _ in spans])
-    periods, cut = _margin(fp, fq, k) if k > 1 else (1, 0)
+    periods, cut = _margin(fp, fq, k)
     return lo - periods * k, k * (-(-(hi - lo + 1) // k) + 2 * periods), cut
 
 
 def affine_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
     """star, tll or tlr (by ``kind``) of any two operands.
 
-    Operands with equal tails fold as below; a pair with a mixed-tail
-    operand closes, folds and stitches (see "Mixed tails" at the end).
+    Each pair takes one of three routes:
+
+    - finitary factor: the operand whose word the fold reads has period 1
+      (q for star and tll; p for tlr, and for star when q has not, by the
+      mirrors below).  That operand folds on its own window, whatever the
+      other's period and tails, and two period-1 operands fold on the span
+      of both (see "Finitary factor" after step 5);
+    - periodized: both operands have equal tails, and neither is such a
+      factor (tll with a period-1 left operand and tlr with a period-1
+      right operand have no such identity);
+    - stitched: the others, with a mixed-tail operand (see "Mixed tails"
+      at the end).
 
     With T_chi: n -> n - chi, p = T_u p' and q = q' T_w for a frame (u, w):
     (chi_p, chi_q), in which the factors p', q' have shift 0, or (0, 0),
-    whichever gives the smaller M below (K = 1 takes the first, and a tie
-    the second), so M never exceeds its size for p and q themselves.  Let
-    A_p, A_q be the factors' germs, K the lcm of the periods, and W = [lo,
-    hi] span the windows, less their first and last periods, of the factors
-    that are not globally periodic; each factor equals its germ off W.
-    Globally periodic pairs have no W and fold one period [0, K) as is.
-    Otherwise, with d_p, d_q the diff bounds of the factors, d = max(d_p,
-    d_q), e = d_p + d_q, B = d + e, X = 2d + e and P = ceil((B + X) / K) +
-    1 (for K = 1: P = 1 and X = 0), the fold runs on one period of the
-    M-periodic p^, q^ equal to p', q' on [c, c + M), c = lo - P K,
-    M = K (ceil((hi - lo + 1) / K) + 2P); their values on [c, c + M) are a
+    whichever gives the smaller M below (a tie the second), so M never
+    exceeds its size for p and q themselves.  Let A_p, A_q be the factors'
+    germs, K > 1 the lcm of the periods, and W = [lo, hi] span the windows,
+    less their first and last periods, of the factors that are not globally
+    periodic; each factor equals its germ off W.  Globally periodic pairs
+    have no W and fold one period [0, K) as is.  Otherwise, with d_p, d_q
+    the diff bounds of the factors, d = max(d_p, d_q), e = d_p + d_q, B = d
+    + e, X = 2d + e and P = ceil((B + X) / K) + 1, the fold runs on one
+    period of the M-periodic p^, q^ equal to p', q' on [c, c + M), c = lo -
+    P K, M = K (ceil((hi - lo + 1) / K) + 2P); their values on [c, c + M) are a
     complete residue system mod M, since p' carries W onto A_p(W).  The
     result is cut to [c + X, c + M - 1 - X] with period K.  Why that is
     r' = kind(p', q'), with s_f(a, b) = #{n >= b : f(n) < a} and t_f(a, b)
@@ -284,16 +303,45 @@ def affine_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
     5. c + X + K <= lo - B and c + M - X - K >= hi + 1 + B, so the cut's
        first and last K entries follow G and the tail rule continues them.
 
-    For K = 1 no margin is needed: p and q, of shift 0, move only integers
-    of W, so p^, q^ (M = hi - lo + 3) lie in the parabolic subgroup
-    generated by the s_j with j, j + 1 in [c, c + M), which acts on each
-    period as the symmetric group of [c, c + M) does (Bjorner-Brenti,
-    Combinatorics of Coxeter Groups, ch. 8).  A reduced word of q (of p^-1
-    for tlr) there is reduced in the affine group and has no wrap letter,
-    so each fold swaps the same positions as the fold of p and q on [c, c +
-    M): r^ = r there, and both fix c and c + M - 1.  Before the cut goes to
-    ``from_window``, its first and last K entries are checked against G,
-    folded on one period of the germs (the identity when K = 1).
+    Before the cut goes to ``from_window``, its first and last K entries
+    are checked against G, folded on one period of the germs.
+
+    Finitary factor.  By step 0, and by the mirrors tlr(p, q) =
+    inverse(tll(q^-1, p^-1)) and star(p, q) = inverse(star(q^-1, p^-1))
+    (from s_{f^-1}(a, b) = t_f(b, a) the optimum in 1 maps to the mirrored
+    one), it suffices to fold into a permutation y, of any period and
+    tails, a word operand f of period 1 and shift 0: q' for star and tll
+    (y = p), p'^-1 for tlr and star (y = q^-1).  f moves only the integers
+    of an interval W = [a, b], which it permutes.  So f lies in the
+    parabolic subgroup S_W generated by the s_j with j, j + 1 in W, whose
+    reduced words are reduced in the whole group (Bjorner-Brenti,
+    Combinatorics of Coxeter Groups, ch. 8), and ``_affine_word`` on W
+    spells one with l(f) letters and no wrap letter.  Folding a letter s_j
+    compares and swaps y(j) and y(j + 1) alone, so the fold leaves y off W
+    as it is, rearranges its values on W, and reads only their relative
+    order: relabelled by rank to [0, |W|), they fold by the same word as a
+    period of |W| entries, and the ranks map back.  For y = p the result is
+    p with its values on W folded.  For y = q^-1 the fold's result y'
+    carries W onto P = q^-1(W), so its inverse is q off P and carries P
+    onto W: with n_0 < n_1 < ... the points of P, x(i) = p'(a + i) - a and
+    v(j) = q(n_j) - a, it takes n_j to a + kind(x, v)(j), since the same
+    mirror holds on S_|W|, where the kernel folds kind(x, v) (tlr through
+    that mirror).
+    Two period-1 operands fold this way with no relabelling: on the span U
+    of the integers p' or q' moves, with a fixed point on each side, where
+    p' and q' both permute U.
+
+    The certificate stays whole.  The word has l(f) letters (for star
+    with y = q^-1, those of v, and the certificate is that of S_|W|), and
+    the kernel's lengths are the inversions of y with both ends in W.  An
+    adjacent swap inside W toggles one such pair, and changes no count of
+    inversions with one end outside W: W is an interval, so for n < a (or
+    n > b) the inversions (n, m), m in W, number #{m in W : y(m) < y(n)}
+    (or > y(n)), which reads only the set y(W), and the fold keeps that
+    set.  So the count on W moving by exactly kept (star) or -kept (tll)
+    says that every kept letter raised (lowered) the length of y by one,
+    as a fold of a reduced word must.  The result then passes
+    ``from_window`` and the chi additivity check of ``demazure._product``.
 
     Mixed tails.  Let d_p, d_q be the diff bounds of p and q themselves,
     e = d_p + d_q, [lo, hi] span both windows, g+ (g-) the largest diff
@@ -341,10 +389,92 @@ def affine_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
     The closed windows are checked against the window cap before they are
     built, and the folds of the closures check their own sizes.
     """
+    if p.period == q.period == 1:
+        return _window_product(kind, p, q)
+    if q.period == 1 and kind != "tlr":
+        return _right_factor_product(kind, p, q)
+    if p.period == 1 and kind != "tll":
+        return _left_factor_product(kind, p, q)
     equal = has_equal_tails(p), has_equal_tails(q)
     if all(equal):
         return _equal_tail_product(kind, p, q)
     return _stitched_product(kind, p, q, equal)
+
+
+def _moved(f: Permutation, offset: int = 0) -> tuple[int, int] | None:
+    """[a, b] less offset, a and b the first and last n with f(n) != n -
+    chi; None if f is the shift n -> n - chi."""
+    lo, vals, chi = f.lo, f.vals, f.chi
+    moved = [i for i, v in enumerate(vals, lo) if v + chi != i]
+    return (moved[0] - offset, moved[-1] - offset) if moved else None
+
+
+def _window_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
+    """``affine_product`` of two period-1 operands: one fold of the shift-0
+    factors p' = T_u^-1 p and q' = q T_w^-1 on the span U of the integers
+    either moves, with a fixed point on each side."""
+    u, w = p.chi, q.chi
+    spans = [s for s in (_moved(p), _moved(q, w)) if s] or [(0, 0)]
+    c = min([a for a, _ in spans]) - 1
+    size = max([b for _, b in spans]) - c + 2
+    if size > (cap := get_max_window()):
+        raise ResourceLimit(f"affine period {size} exceeds window cap {cap}")
+    x = _values((1, p.lo, p.vals, u), c, size)
+    r = _fold_kind(kind, x, _values((1, q.lo - w, q.vals, 0), c, size))
+    return from_window(1, c + w, [a + c - u for a in r])
+
+
+def _span(f: Permutation, lo: int, hi: int) -> tuple[int, int]:
+    """A window [lo', hi'] of f that holds [lo, hi] with a period on each side
+    and, unless f is globally periodic, f's own window: one whose first and
+    last periods continue f's tails."""
+    lo, hi = lo - f.period, hi + f.period
+    if not is_affine(f):
+        lo, hi = min(lo, f.lo), max(hi, f.hi)
+    if (size := hi - lo + 1) > (cap := get_max_window()):
+        raise ResourceLimit(f"product window of {size} entries exceeds cap {cap}")
+    return lo, hi
+
+
+def _right_factor_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
+    """star or tll of p and a period-1 q = q' T_w: p with its values on the
+    span W = [a, b] of q' folded by rank, then T_w."""
+    w, k = q.chi, p.period
+    span = _moved(q, w)
+    if span is None:  # q = T_w
+        return from_window(k, p.lo + w, p.vals)
+    a, b = span
+    lo, hi = _span(p, a, b)
+    vals = _images(k, p.lo, p.vals, lo, hi)
+    y = vals[a - lo : b - lo + 1]
+    order = sorted(y)
+    rank = {v: i for i, v in enumerate(order)}
+    # q' on W less a: q(n + w) - a
+    v = [t - a for t in q.vals[a + w - q.lo : b + w - q.lo + 1]]
+    r = _fold_kind(kind, [rank[t] for t in y], v)
+    vals[a - lo : b - lo + 1] = [order[i] for i in r]
+    return from_window(k, lo + w, vals)
+
+
+def _left_factor_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
+    """star or tlr of a period-1 p = T_u p' and q: q with its values at the
+    points n_0 < n_1 < ... of q^-1(W), W = [a, b] the span of p', rewritten
+    by the fold, then T_u."""
+    u, k = p.chi, q.period
+    span = _moved(p)
+    if span is None:  # p = T_u
+        return from_window(k, q.lo, [t - u for t in q.vals])
+    a, b = span
+    pre = _preimages(k, q.lo, q.vals, a, b)
+    # by rank of the point: q(n_j) - a
+    v = sorted(range(b - a + 1), key=pre.__getitem__)
+    points = [pre[i] for i in v]
+    lo, hi = _span(q, points[0], points[-1])
+    vals = _images(k, q.lo, q.vals, lo, hi)
+    x = [t + u - a for t in p.vals[a - p.lo : b - p.lo + 1]]
+    for n, t in zip(points, _fold_kind(kind, x, v)):
+        vals[n - lo] = a + t
+    return from_window(k, lo, [t - u for t in vals])
 
 
 def _equal_tail_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
@@ -352,9 +482,8 @@ def _equal_tail_product(kind: str, p: Permutation, q: Permutation) -> Permutatio
     k = math.lcm(p.period, q.period)
     bent = (not is_affine(p), not is_affine(q))
     # the factors p'(n) = p(n) + u and q'(n) = q(n + w) of each frame (u, w)
-    frames = [(0, 0), (p.chi, q.chi)] if k > 1 else [(p.chi, q.chi)]
     options = []
-    for u, w in frames:
+    for u, w in ((0, 0), (p.chi, q.chi)):
         fp, fq = (p.period, p.lo, p.vals, u), (q.period, q.lo - w, q.vals, 0)
         options.append((_layout(k, fp, fq, bent), fp, fq, u, w))
     (c, size, cut), fp, fq, u, w = min(options, key=lambda o: o[0][1])
@@ -364,7 +493,7 @@ def _equal_tail_product(kind: str, p: Permutation, q: Permutation) -> Permutatio
     if any(bent):
         # the germs: each factor's first period repeated, on [0, K)
         germs = [_values((t, lo, v[:t], add), 0, k) for t, lo, v, add in (fp, fq)]
-        g = _fold_kind(kind, *germs) if k > 1 else [0]
+        g = _fold_kind(kind, *germs)
         for i in (*range(cut, cut + k), *range(size - cut - k, size - cut)):
             n = c + i
             if r[i] + c != g[n % k] + n - n % k:

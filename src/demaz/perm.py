@@ -103,6 +103,16 @@ def set_max_window(n: int) -> None:
     _max_window = n
 
 
+def _check_window(what: str, size: int) -> None:
+    """Refuse a window, band or list of size entries over the window cap
+    before it is built."""
+    if size > _max_window:
+        raise ResourceLimit(
+            f"{what} of {size} entries exceeds cap {_max_window} "
+            "(raise it with --max-window)"
+        )
+
+
 class ResidueClass(NamedTuple):
     """The set rep + modulus*Z, used for periodic transposition families."""
 
@@ -346,6 +356,7 @@ def _band_violations(k: int, lo: int, vals: Sequence[int]) -> list[Violation]:
     out = []
     hi = lo + len(vals) - 1
     m = _raw_diff_bound(k, lo, vals)
+    _check_window("violation band", len(vals) + 4 * m + 4 * k)
     # every preimage n of a target a satisfies |n - a| <= diff_bound, so a
     # band reaching diff_bound beyond the targets holds all of their preimages
     pre: dict[int, list[int]] = {}
@@ -513,6 +524,7 @@ def make_sigma_set(s: Iterable[int] | ResidueClass) -> Permutation:
             raise InvalidGeneratorSet(
                 f"residue class modulus {k} < 2 would swap overlapping pairs"
             )
+        _check_window(f"sigma_mod({r},{k}) window", k)
         vals = list(range(r, r + k))
         vals[0], vals[1] = vals[1], vals[0]
         return from_window(k, r, vals)
@@ -526,6 +538,7 @@ def make_sigma_set(s: Iterable[int] | ResidueClass) -> Permutation:
             )
     lo = members[0] - 1
     hi = members[-1] + 2
+    _check_window("sigma window", hi - lo + 1)
     vals = list(range(lo, hi + 1))
     for n in members:
         i = n - lo
@@ -542,6 +555,7 @@ def make_gamma(m: int, n: int) -> Permutation:
     """
     if m < 0 or n < 0:
         raise InvalidPermutation(f"block sizes must be nonnegative, got ({m}, {n})")
+    _check_window(f"gamma({m},{n}) window", m + n + 4)
 
     def g(t: int) -> int:
         if t <= -m - 1:

@@ -6,7 +6,9 @@ permutations of modulus 2 and 3, two-block permutations, and greedy
 products thereof.  All of them have equal tails (both tails follow one
 affine germ); ``mixed_tails`` draws permutations whose tails differ.  Every
 sampler takes an explicit random.Random so each
-test is deterministic under its own seed.
+test is deterministic under its own seed.  ``periodized_or_stitched`` is the
+reference fold for pairs with a period-1 operand: the route they took
+before the finitary factor.
 """
 
 import itertools
@@ -16,6 +18,7 @@ import pytest
 
 from demaz import (
     compose,
+    finitary,
     from_window,
     inverse,
     make_affine,
@@ -170,3 +173,18 @@ def rand_sigma_fin(rng):
     if not out:
         out = [rng.randint(-6, 6)]
     return out
+
+
+def translated(p, off):
+    """n -> p(n - off) + off: p with its window moved by off."""
+    return compose(make_shift(-off), compose(p, make_shift(off)))
+
+
+def periodized_or_stitched(kind, p, q):
+    """kind(p, q) by the fold a pair takes when neither operand is a
+    finitary factor: the periodization for operands with equal tails, else
+    the stitch.  The two operands must not both have period 1."""
+    equal = finitary.has_equal_tails(p), finitary.has_equal_tails(q)
+    if all(equal):
+        return finitary._equal_tail_product(kind, p, q)
+    return finitary._stitched_product(kind, p, q, equal)

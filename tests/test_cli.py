@@ -416,6 +416,29 @@ def test_huge_inputs_end_in_exit_codes(argv, code):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["inverse", "gamma(0,999999999999)"],
+        ["inverse", "sigma_mod(0," + "9" * 30 + ")"],
+        # a valid-length window whose violation band spans 4 * 10^12 entries
+        ["validate", "ep(k=1, lo=0; 0 999999999999)"],
+    ],
+    ids=["gamma-1e12", "sigma-mod-1e30", "band-4e12"],
+)
+def test_windows_over_the_cap_are_refused_before_they_are_built(argv):
+    src = os.path.dirname(os.path.dirname(demazure.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "demaz", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 4, proc.stderr[-500:]
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("resource limit: ")
+    assert "--max-window" in proc.stderr
+
+
 def test_invalid_window_message_is_bounded(capsys):
     # 7000 entries in decreasing order: 20998 violations, 3 of them named
     text = "ep(k=1, lo=1; " + " ".join(str(7000 - i) for i in range(7000)) + ")"
@@ -519,7 +542,7 @@ def test_numpy_free_verbs_match_their_goldens():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.endswith("34 of 34 numpy-free CLI goldens match\n")
+    assert proc.stdout.endswith("46 of 46 numpy-free CLI goldens match\n")
 
 
 @pytest.mark.parametrize("argv, code", cli_module_budget.LIGHT)

@@ -17,9 +17,13 @@ shifted operands in both frames of the shift factoring, with a spy on the
 period size.  Mixed-tail pairs are tested with each other, with zoo
 members and affines, inverted and shifted, and on S_d middles over period-2
 and period-3 germs; an associativity test mixes them with equal-tail
-operands.  The word generator is checked on its own: its letters rebuild
-the inverse, each is a descent, and wrap letters occur exactly off the
-symmetric-group case.
+operands.  A period-1 word operand (a finitary factor) folds on its own
+window: zoo members, mixed-tail operands, S_40 and affines of periods 2, 3,
+5 and 7 against shifted S_d, and windows near +-10^4 with |chi| up to 50,
+must give the grid's result and that of the periodized or stitched fold
+called directly, and a spy checks which pairs skip those folds.  The word
+generator is checked on its own: its letters rebuild the inverse, each is
+a descent, and wrap letters occur exactly off the symmetric-group case.
 """
 
 import random
@@ -27,7 +31,15 @@ import sys
 
 import pytest
 
-from conftest import mixed_tails, rand_affine, rand_line, sym, zoo_perm
+from conftest import (
+    mixed_tails,
+    periodized_or_stitched,
+    rand_affine,
+    rand_line,
+    sym,
+    translated,
+    zoo_perm,
+)
 
 from demaz import (
     InternalInconsistency,
@@ -44,6 +56,7 @@ from demaz import (
     make_gamma,
     make_shift,
     make_sigma_set,
+    parse_perm,
     reduce,
     sf_from_perm,
     sf_leq_ess,
@@ -384,18 +397,22 @@ def test_symmetric_group_words_take_no_wrap_letter(rng):
 def test_affine_certificates_fire(rng, monkeypatch):
     p = rand_affine(rng, 5, 2)
     q = inverse(compose(p, make_shift(2)))
+    # and finitary factors: q of period 1 for star and tll, p for tlr
+    f = sym(rng, 6, 1, chi=3)
+    cases = [(fast, p, q) for fast in FAST.values()]
+    cases += [(star, p, f), (tll, p, f), (star, f, q), (tlr, f, q)]
     word, fold = finitary._affine_word, finitary._fold_word
     monkeypatch.setattr(finitary, "_affine_word", lambda u, n: word(u, n) + [0])
-    for fast in FAST.values():
+    for fast, a, b in cases:
         with pytest.raises(InternalInconsistency, match="letters, the operand"):
-            fast(p, q)
+            fast(a, b)
     monkeypatch.setattr(finitary, "_affine_word", word)
     # star keeping descents and tll keeping ascents
     wrong = lambda arr, w, ascents: fold(arr, w, not ascents)
     monkeypatch.setattr(finitary, "_fold_word", wrong)
-    for fast in FAST.values():
+    for fast, a, b in cases:
         with pytest.raises(InternalInconsistency, match="the length went"):
-            fast(p, q)
+            fast(a, b)
 
 
 def test_affine_products_build_no_grid(rng):
@@ -667,10 +684,14 @@ def test_affine_fold_checks_both_operands_before_numpy(monkeypatch):
 
     monkeypatch.setattr(finitary, "_affine_length", no_numpy)
     huge = make_affine([0, 10**20 + 1], 2)
-    for fast in FAST.values():
-        for p, q in ((huge, make_affine([1, 0], 2)), (make_shift(1), huge)):
-            with pytest.raises(ResourceLimit, match=r"period 2 and diff_bound \d{20,} "):
-                fast(p, q)
+    cases = [(fast, huge, make_affine([1, 0], 2)) for fast in FAST.values()]
+    for fast, p, q in [*cases, (tll, make_shift(1), huge)]:
+        with pytest.raises(ResourceLimit, match=r"period 2 and diff_bound \d{20,} "):
+            fast(p, q)
+    # star and tlr fold a period-1 left operand on its own window: a shift
+    # has none, so nothing is folded
+    for fast in (star, tlr):
+        assert fast(make_shift(1), huge) == from_window(2, 0, [-1, 10**20])
 
 
 # ---------------------------------------------------------------------------
@@ -749,8 +770,9 @@ def test_mixed_tail_window_2000_builds_no_grid(monkeypatch):
 def test_stitch_certificate_fires(monkeypatch):
     # the margins are proven, not tight: the closures agree with the
     # operands a little past their cuts, so on this pair (margins 3 and 3)
-    # the folds stay right with two less on each side and differ with three
-    p, q = from_window(2, 2, [2, 3, 5, 4]), make_shift(-1)
+    # the folds stay right with two less on each side and differ with three;
+    # a period-1 right operand would take the finitary factor, not the stitch
+    p, q = from_window(2, 2, [2, 3, 5, 4]), make_affine([-1, 2], 2)
     right = star(p, q)
     margins = finitary._stitch_margins
     monkeypatch.setattr(
@@ -769,9 +791,10 @@ def test_closed_windows_are_capped_before_they_are_built(rng, monkeypatch):
     m = compose(MIXED_GERMS[0], sym(rng, 30))
     monkeypatch.setattr(finitary, "_fold_kind", no_fold)
     monkeypatch.setattr(perm, "_max_window", 60)
+    # a period-2 partner: a period-1 one is a finitary factor of star and tll
     for fast in FAST.values():
         with pytest.raises(ResourceLimit, match=r"closed window of \d+ entries exceeds cap 60"):
-            fast(m, make_shift(0))
+            fast(m, make_affine([-1, 2], 2))
 
 
 def test_factored_grid_equals_the_unfactored_grid(rng):
@@ -784,3 +807,87 @@ def test_factored_grid_equals_the_unfactored_grid(rng):
         for kind in FAST:
             assert grid_product(kind, p, q) == grid(kind, p, q), (kind, p, q)
 
+
+
+# ---------------------------------------------------------------------------
+# finitary factor: a period-1 word operand folds on its own window
+
+
+def assert_factor_agrees(f, other, against_grid=True):
+    """star, tll and tlr of the period-1 f and other, in both orders, equal
+    the periodized or stitched fold and, when asked, the grid engine."""
+    assert f.period == 1 < other.period
+    for p, q in ((f, other), (other, f)):
+        for kind, fast in FAST.items():
+            r = fast(p, q)
+            assert r == periodized_or_stitched(kind, p, q), (kind, p, q)
+            if against_grid:
+                assert r == grid_product(kind, p, q), (kind, p, q)
+
+
+def test_finitary_factor_zoo_against_sym(rng):
+    pool = [p for p in (zoo_perm(rng) for _ in range(100)) if p.period > 1]
+    assert len(pool) >= 12
+    for other in pool[:12]:
+        f = sym(rng, rng.randint(2, 6), rng.randint(-4, 4), rng.randint(-6, 6))
+        assert_factor_agrees(f, other)
+
+
+def test_finitary_factor_mixed_tails_against_sym(rng):
+    for _ in range(6):
+        m = mixed_tails(rng)
+        f = sym(rng, rng.randint(2, 6), rng.randint(-4, 4), rng.randint(-3, 3))
+        assert_factor_agrees(f, m)
+        assert_factor_agrees(inverse(f), compose(make_shift(4), inverse(m)))
+        assert_factor_agrees(compose(f, make_shift(-5)), compose(m, make_shift(2)))
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 7])
+def test_finitary_factor_s40_against_affines(k):
+    rng = random.Random(40 + k)
+    a, s = rand_affine(rng, k, 1), sym(rng, 40, -3, chi=2)
+    assert_factor_agrees(s, a)
+    assert_factor_agrees(inverse(s), star(a, sym(rng, 5, 2)))
+
+
+@pytest.mark.parametrize("off", [10**4, -(10**4) - 7])
+def test_finitary_factor_windows_far_from_zero(rng, off):
+    for chi in (0, 50, -50, rng.randint(-50, 50)):
+        f = sym(rng, rng.randint(3, 12), off + rng.randint(-5, 5), chi)
+        near = translated(star(rand_affine(rng, 3, 1), sym(rng, 4)), off)
+        assert abs(near.lo - off) < 20
+        # the grid's box would span the affine's window at 0 and f's
+        assert_factor_agrees(f, rand_affine(rng, 5, 1), against_grid=False)
+        assert_factor_agrees(f, near, against_grid=False)
+        assert_factor_agrees(f, translated(MIXED_GERMS[1], off), against_grid=False)
+    f = sym(rng, 6, off, 50)
+    assert_factor_agrees(f, translated(MIXED_GERMS[0], off))
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("k", [2, 3, 5, 7])
+def test_s80_finitary_factor_against_affines_and_mixed_tails(k):
+    rng = random.Random(80 + k)
+    s = sym(rng, 80, -3, chi=1)
+    assert_factor_agrees(s, rand_affine(rng, k, 1))
+    assert_factor_agrees(inverse(s), compose(MIXED_GERMS[k % 2], sym(rng, 10)))
+
+
+def test_finitary_factors_skip_the_periodization_and_the_stitch(monkeypatch):
+    calls = []
+    for name in ("_equal_tail_product", "_stitched_product"):
+        route = getattr(finitary, name)
+        spy = lambda *a, _r=route, _n=name: calls.append(_n) or _r(*a)
+        monkeypatch.setattr(finitary, name, spy)
+    rng = random.Random(2000)
+    m, s = MIXED_GERMS[0], sym(rng, 2000)
+    star(compose(m, s), s)
+    a, f = parse_perm("aff(3; 2 -3 4)"), parse_perm("sym(29; 31 29 32 30)")
+    for fast, p, q in ((star, a, f), (star, f, a), (tll, a, f), (tlr, f, a)):
+        fast(p, q)
+    assert calls == []
+    # tll folds q, tlr p^-1: a period-1 operand on the other side has no
+    # identity of its own, and the pair stays periodized
+    tll(f, a)
+    tlr(a, f)
+    assert calls == ["_equal_tail_product"] * 2

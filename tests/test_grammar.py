@@ -204,7 +204,8 @@ _SPACES = [" ", "", "  ", "\t", "\n", "\xa0", "\u2003", "\u3000", "\x1c"]
 
 @st.composite
 def _integer_texts(draw, odd=3):
-    """An integer, or with odds ``odd`` in 10 a text the grammar refuses."""
+    """An integer, one in seven of them huge, or with odds ``odd`` in 10 a
+    text the grammar refuses."""
     sign = draw(st.sampled_from(["", "", "-", "+"]))
     kind = draw(st.integers(3 - odd, 9))
     if kind == 0:  # past the digit limit
@@ -213,6 +214,10 @@ def _integer_texts(draw, odd=3):
         return sign + draw(st.sampled_from(["\u0663", "\uff10", "\xb2", "1\u0661"]))
     if kind == 2:  # no digits at all
         return sign
+    if kind == 3:  # 12 to 30 digits: windows, bands and shifts past every cap
+        return sign + draw(st.sampled_from(_DIGITS[1:])) + draw(
+            st.text(_DIGITS, min_size=11, max_size=29)
+        )
     zeros = "0" * draw(st.integers(0, 2))  # leading zeros, and +0
     return sign + zeros + draw(st.text(_DIGITS, min_size=1, max_size=2))
 

@@ -35,6 +35,8 @@ from demaz import (
 )
 from demaz.demazure import grid_product
 
+from conftest import periodized_or_stitched, translated
+
 one_line = (
     st.integers(2, 5)
     .flatmap(lambda d: st.permutations(list(range(1, d + 1))))
@@ -192,3 +194,31 @@ def test_stitched_fold_equals_the_grid(m, other, flip):
     p, q = (other, m) if flip else (m, other)
     for kind, fast in (("star", star), ("tll", tll), ("tlr", tlr)):
         assert fast(p, q) == grid_product(kind, p, q), kind
+
+
+finitary_factors = st.tuples(
+    st.integers(2, 6).flatmap(lambda d: st.permutations(list(range(1, d + 1)))),
+    st.integers(-5, 5),
+    st.integers(-50, 50),
+).map(lambda t: compose(
+    make_shift(t[2]), make_from_one_line([v + t[1] - 1 for v in t[0]], t[1])
+))
+partners = st.one_of(
+    affine(2), affine(3), affine(5), affine(7),
+    st.tuples(affine(3), one_line).map(lambda t: star(*t)),
+    mixed_tails,
+).filter(lambda p: p.period > 1)
+
+
+@given(finitary_factors, partners, st.sampled_from([0, 0, 10**4, -(10**4) - 7]),
+       st.booleans())
+@settings(deadline=None, max_examples=100)
+def test_finitary_factor_equals_the_periodized_fold(f, other, off, flip):
+    f, other = translated(f, off), translated(other, off)
+    p, q = (other, f) if flip else (f, other)
+    for kind, fast in (("star", star), ("tll", tll), ("tlr", tlr)):
+        r = fast(p, q)
+        assert r == periodized_or_stitched(kind, p, q), kind
+        # far off, the grid's box would span an affine's window at 0 too
+        if off == 0:
+            assert r == grid_product(kind, p, q), kind
