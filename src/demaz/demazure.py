@@ -9,8 +9,7 @@ by one of three routes:
 - finitary factor, when the operand whose word is folded has period 1
   (the right one for star and tll, the left one for tlr, either for
   star): a fold on that operand's own window, the other operand's values
-  there relabelled by rank, whatever its period and tails; two period-1
-  operands fold on the span of both;
+  there relabelled by rank, whatever its period and tails;
 - periodized, for the other pairs with equal tails (tll with a period-1
   left operand, tlr with a period-1 right one, and pairs of period > 1):
   the lcm of the periods for globally periodic pairs, else a

@@ -17,8 +17,8 @@ which ``affine_product`` proves:
   star and tll, p for tlr, either for star).  Its shift-0 factor moves
   only an interval W, so the other operand's values on W (for p, through
   the mirror, its values at the points q^-1(W)) are relabelled by rank
-  and folded on |W| entries, whatever that operand's period and tails.
-  Two period-1 operands fold on the span of both, with no relabelling;
+  and folded on |W| entries, whatever that operand's period and tails,
+  the other operand's period 1 included;
 - periodized: the other pairs whose operands both have equal tails (both
   tails of each follow one globally periodic germ, as for every period-1
   or globally periodic permutation and for star(aff, S_d)) fold on the lcm
@@ -48,7 +48,8 @@ from bisect import bisect
 
 from .errors import InternalInconsistency, ResourceLimit
 from .perm import Permutation, from_window, get_max_window
-from .perm import _GRID_CELL_CAP, _images, _inversions, _preimages, _raw_diff_bound
+from .perm import _GRID_CELL_CAP, _check_window, _images, _inversions, _preimages
+from .perm import _raw_diff_bound
 
 __all__ = [
     "is_affine",
@@ -198,6 +199,13 @@ def _affine_fold(x: list[int], v: list[int], ascents: bool) -> list[int]:
                 "exceeds grid cap"
             )
     length = _affine_length(v)
+    # the insertion sort moves one slice entry per letter and the fold reads
+    # each letter once; on intervals, as for every finitary factor, this is
+    # the only bound of that work
+    if length > _GRID_CELL_CAP:
+        raise ResourceLimit(
+            f"affine fold word of {length} letters exceeds grid cap"
+        )
     word = _affine_word(_period_inverse(v), length)
     if len(word) != length:
         raise InternalInconsistency(
@@ -252,8 +260,7 @@ def affine_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
     - finitary factor: the operand whose word the fold reads has period 1
       (q for star and tll; p for tlr, and for star when q has not, by the
       mirrors below).  That operand folds on its own window, whatever the
-      other's period and tails, and two period-1 operands fold on the span
-      of both (see "Finitary factor" after step 5);
+      other's period and tails (see "Finitary factor" after step 5);
     - periodized: both operands have equal tails, and neither is such a
       factor (tll with a period-1 left operand and tlr with a period-1
       right operand have no such identity);
@@ -327,9 +334,6 @@ def affine_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
     v(j) = q(n_j) - a, it takes n_j to a + kind(x, v)(j), since the same
     mirror holds on S_|W|, where the kernel folds kind(x, v) (tlr through
     that mirror).
-    Two period-1 operands fold this way with no relabelling: on the span U
-    of the integers p' or q' moves, with a fixed point on each side, where
-    p' and q' both permute U.
 
     The certificate stays whole.  The word has l(f) letters (for star
     with y = q^-1, those of v, and the certificate is that of S_|W|), and
@@ -389,8 +393,6 @@ def affine_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
     The closed windows are checked against the window cap before they are
     built, and the folds of the closures check their own sizes.
     """
-    if p.period == q.period == 1:
-        return _window_product(kind, p, q)
     if q.period == 1 and kind != "tlr":
         return _right_factor_product(kind, p, q)
     if p.period == 1 and kind != "tll":
@@ -409,21 +411,6 @@ def _moved(f: Permutation, offset: int = 0) -> tuple[int, int] | None:
     return (moved[0] - offset, moved[-1] - offset) if moved else None
 
 
-def _window_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
-    """``affine_product`` of two period-1 operands: one fold of the shift-0
-    factors p' = T_u^-1 p and q' = q T_w^-1 on the span U of the integers
-    either moves, with a fixed point on each side."""
-    u, w = p.chi, q.chi
-    spans = [s for s in (_moved(p), _moved(q, w)) if s] or [(0, 0)]
-    c = min([a for a, _ in spans]) - 1
-    size = max([b for _, b in spans]) - c + 2
-    if size > (cap := get_max_window()):
-        raise ResourceLimit(f"affine period {size} exceeds window cap {cap}")
-    x = _values((1, p.lo, p.vals, u), c, size)
-    r = _fold_kind(kind, x, _values((1, q.lo - w, q.vals, 0), c, size))
-    return from_window(1, c + w, [a + c - u for a in r])
-
-
 def _span(f: Permutation, lo: int, hi: int) -> tuple[int, int]:
     """A window [lo', hi'] of f that holds [lo, hi] with a period on each side
     and, unless f is globally periodic, f's own window: one whose first and
@@ -431,8 +418,7 @@ def _span(f: Permutation, lo: int, hi: int) -> tuple[int, int]:
     lo, hi = lo - f.period, hi + f.period
     if not is_affine(f):
         lo, hi = min(lo, f.lo), max(hi, f.hi)
-    if (size := hi - lo + 1) > (cap := get_max_window()):
-        raise ResourceLimit(f"product window of {size} entries exceeds cap {cap}")
+    _check_window("product window", hi - lo + 1)
     return lo, hi
 
 

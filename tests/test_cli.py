@@ -387,6 +387,10 @@ def test_extended_checks_catch_a_wrong_periodized_fold(capsys, monkeypatch):
     assert "extended check failed: affine star differs from the grid engine" in err
 
 
+# the longest element of S_9500: a word of 45120250 letters
+W0_9500 = "sym(0; " + " ".join(map(str, range(9499, -1, -1))) + ")"
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -401,9 +405,15 @@ def test_extended_checks_catch_a_wrong_periodized_fold(capsys, monkeypatch):
         (["star", "aff(2; 0 100000000000000000001)", "aff(2; 1 0)"], 4),
         # a periodic scan square of (8 * 10^6)^2 cells, refused before any list
         (["ess", "aff(2; 0 2000001)"], 4),
+        # a finitary factor's word over the grid cap, refused before it is
+        # spelled although its window is far under the window cap
+        (["star", "aff(3; 2 -3 4)", W0_9500], 4),
+        (["tll", "aff(3; 2 -3 4)", W0_9500], 4),
+        (["tlr", W0_9500, "aff(3; 2 -3 4)"], 4),
     ],
     ids=["shift-1e6", "shift-1e19", "values-1e20", "5000-digits", "affine-1e20",
-         "periodic-ess-over-cap"],
+         "periodic-ess-over-cap", "factor-word-star", "factor-word-tll",
+         "factor-word-tlr"],
 )
 def test_huge_inputs_end_in_exit_codes(argv, code):
     src = os.path.dirname(os.path.dirname(demazure.__file__))

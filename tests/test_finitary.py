@@ -4,26 +4,27 @@ Every product has two implementations: the affine word fold of
 demaz.finitary, which star/tll/tlr use, and the slipface grid engine
 (``grid_product``), which serves every pair as the reference.  Both must
 give the same permutations.  For operands with equal tails the fold runs on
-one period: the union window for period-1 pairs, the lcm of the periods for
-globally periodic pairs, a periodization around the windows otherwise; a
-pair with a mixed-tail operand folds the operands closed at each end and
-stitches the two results.  Period-1 pairs are tested on random S_d, against
-the extremal oracles, with large shifts on either side, windows far from 0
-and unequal two-block shuffles; Bruhat comparison of the same pairs, which
-reads rank tables on the left side's window, must give the grid
-comparison's verdict and witness cell.  Periodic pairs are tested on
-coprime periods, large shifts, large diff bounds, windows far from 0 and
-shifted operands in both frames of the shift factoring, with a spy on the
-period size.  Mixed-tail pairs are tested with each other, with zoo
-members and affines, inverted and shifted, and on S_d middles over period-2
-and period-3 germs; an associativity test mixes them with equal-tail
-operands.  A period-1 word operand (a finitary factor) folds on its own
-window: zoo members, mixed-tail operands, S_40 and affines of periods 2, 3,
-5 and 7 against shifted S_d, and windows near +-10^4 with |chi| up to 50,
-must give the grid's result and that of the periodized or stitched fold
-called directly, and a spy checks which pairs skip those folds.  The word
-generator is checked on its own: its letters rebuild the inverse, each is
-a descent, and wrap letters occur exactly off the symmetric-group case.
+one period: the folded operand's own window when it has period 1, the lcm
+of the periods for globally periodic pairs, a periodization around the
+windows otherwise; a pair with a mixed-tail operand folds the operands
+closed at each end and stitches the two results.  Period-1 pairs are tested
+on random S_d, against the extremal oracles, with large shifts on either
+side, windows far from 0 and unequal two-block shuffles; Bruhat comparison
+of the same pairs, which reads rank tables on the left side's window, must
+give the grid comparison's verdict and witness cell.  Periodic pairs are
+tested on coprime periods, large shifts, large diff bounds, windows far
+from 0 and shifted operands in both frames of the shift factoring, with a
+spy on the period size.  Mixed-tail pairs are tested with each other, with
+zoo members and affines, inverted and shifted, and on S_d middles over
+period-2 and period-3 germs; an associativity test mixes them with
+equal-tail operands.  A period-1 word operand (a finitary factor) folds on
+its own window: zoo members, mixed-tail operands, S_40 and affines of
+periods 2, 3, 5 and 7 against shifted S_d, and windows near +-10^4 with
+|chi| up to 50, must give the grid's result and that of the periodized or
+stitched fold called directly, and a spy checks which pairs skip those
+folds.  The word generator is checked on its own: its letters rebuild the
+inverse, each is a descent, and wrap letters occur exactly off the
+symmetric-group case.
 """
 
 import random
@@ -227,7 +228,7 @@ def test_size_caps_apply_before_allocation(rng):
     from demaz import ResourceLimit
 
     far = sym(rng, 3, 2 * 10**6)
-    with pytest.raises(ResourceLimit, match=r"affine period \d+ exceeds window cap"):
+    with pytest.raises(ResourceLimit, match=r"product window of \d+ entries exceeds cap"):
         star(far, make_sigma_set([1]))
     # a globally periodic operand, the identity drawn here, adds no window
     e = sym(rng, 3)
