@@ -3,7 +3,8 @@
 Verbs: star|tll|tlr|compose|inverse|compare|ess|inv|render|rankgrid|validate|oracle.
 Results go to standard output, diagnostics to standard error.  Exit codes:
 0 success (or a true comparison), 1 false comparison / failed validation,
-2 parse error, 3 domain error, 4 resource cap exceeded.
+2 parse error, 3 domain error (or a grid verb without numpy installed), 4
+resource cap exceeded.
 
 Each verb handler imports the modules it runs, so a call loads only those:
 the permutation verbs never load the slipface grid engine (``slipface``) or
@@ -465,6 +466,16 @@ def main(argv=None) -> int:
         return 4
     except DemazError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 3
+    except ModuleNotFoundError as e:
+        # the grid engine's verbs need numpy, an optional extra
+        if e.name != "numpy":
+            raise
+        print(
+            'error: the grid engine needs numpy; install it with '
+            'pip install "demaz[grid]"',
+            file=sys.stderr,
+        )
         return 3
     finally:
         # the cap is process-global; scope it to this invocation so

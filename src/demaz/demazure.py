@@ -24,9 +24,9 @@ transpositions) additionally have direct paths, ``star_sigma`` and
 ``tll_sigma``, which are kept as an independent cross-check.
 
 A pair (a, b) is reduced when Inv(a) and Inv(b^-1) are disjoint, exactly
-when star(a, b) equals compose(a, b); the test is the inversion scan of
-``perm.first_inversion`` with the two masks and-ed, which also yields the
-first common inversion as witness.  The reduction machinery turns an
+when star(a, b) equals compose(a, b); ``perm.first_inversion`` sweeps for
+a common inversion of a and b^-1 and yields the first in (u, v) order as
+witness.  The reduction machinery turns an
 inequality star(a, b) >= g into an exact factorization g = a1 * b1 with
 a1, b1 below a, b in the shift-graded order and the pair reduced, returning
 certified witnesses.
@@ -185,7 +185,7 @@ def is_reduced_pair_witness(
     bounds)."""
     qi = inverse(q)
     m = min(p.diff_bound, qi.diff_bound)
-    wit = first_inversion((p, qi), m, lambda a, b: a & b)
+    wit = first_inversion(p, qi, m, 1)
     return wit is None, wit
 
 

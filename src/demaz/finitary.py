@@ -47,9 +47,9 @@ import math
 from bisect import bisect
 
 from .errors import InternalInconsistency, ResourceLimit
-from .perm import Permutation, from_window, get_max_window
+from .perm import Permutation, from_window, get_max_window, is_affine
 from .perm import _GRID_CELL_CAP, _check_window, _images, _inversions, _preimages
-from .perm import _raw_diff_bound
+from .perm import _period_inverse, _raw_diff_bound
 
 __all__ = [
     "is_affine",
@@ -59,13 +59,6 @@ __all__ = [
 
 # (period, lo, vals, add): n -> alpha(n) + add, alpha given by window fields
 _Factor = tuple[int, int, tuple[int, ...], int]
-
-
-def is_affine(p: Permutation) -> bool:
-    """Whether alpha(n + k) = alpha(n) + k for every n, k the period: the
-    window repeats with its period, and the tail rule carries that on."""
-    k, v = p.period, p.vals
-    return all(v[i + k] == v[i] + k for i in range(len(v) - k))
 
 
 def has_equal_tails(p: Permutation) -> bool:
@@ -88,15 +81,6 @@ def _values(f: _Factor, c: int, size: int) -> list[int]:
     period, lo, vals, add = f
     t = add - c
     return [v + t for v in _images(period, lo, vals, c, c + size - 1)]
-
-
-def _period_inverse(vals: list[int]) -> list[int]:
-    # alpha(i) = r + k t with r in [0, k) gives alpha^-1(r) = i - k t
-    k = len(vals)
-    out = [0] * k
-    for i, v in enumerate(vals):
-        out[v % k] = i - v + v % k
-    return out
 
 
 def _interval(vals: list[int]) -> bool:

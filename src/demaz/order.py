@@ -6,15 +6,15 @@ the smaller side (Fulton's essential set; Bjorner-Brenti, Combinatorics of
 Coxeter Groups, Thm 8.3.7 for the affine symmetric group).  One sweep of
 ``essential_cells`` reads those cells of p, with the values of s_p there,
 off the descents of p, and ``perm.eval_s_at`` counts s_q at them: exact
-integer counts, with no rank table and no numpy.  A period-1 left side has
+integer counts, with no rank table and no grid arrays.  A period-1 left side has
 all of its cells in its window; any other is scanned on the square that the
 grid comparison ``sf_leq_ess`` scans, so verdict and witness cell are its
 own.
 
-The weak orders compare inversion sets with the one inversion scan of
-``perm.first_inversion``: it decides the question exactly on the certified
-band that ``perm`` defines, and the first violating pair in (u, v) order is
-the witness.
+The weak orders compare inversion sets with the pure-Python sweep of
+``perm.first_inversion``, q's images negated: it decides the question
+exactly on the certified band that ``perm`` defines, and the first
+violating pair in (u, v) order is the witness.
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ def weak_left_leq_witness(
     """Inv(p) contained in Inv(q), with the first violating pair (u, v) in
     (u, v) order when false."""
     m = max(p.diff_bound, q.diff_bound)
-    wit = first_inversion((p, q), m, lambda a, b: a & ~b)
+    wit = first_inversion(p, q, m, -1)
     return wit is None, wit
 
 

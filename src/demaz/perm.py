@@ -42,7 +42,7 @@ import math
 import operator
 from bisect import bisect, bisect_left, insort
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     InfiniteInversions,
@@ -51,9 +51,6 @@ from .errors import (
     InvalidPermutation,
     ResourceLimit,
 )
-
-if TYPE_CHECKING:  # annotations only; numpy loads where arrays are built
-    import numpy as np
 
 __all__ = [
     "Permutation",
@@ -578,13 +575,32 @@ def apply(p: Permutation, n: int) -> int:
     return _tail_apply(p.period, p.lo, p.vals, n)
 
 
+def is_affine(p: Permutation) -> bool:
+    """Whether alpha(n + k) = alpha(n) + k for every n, k the period: the
+    window repeats with its period, and the tail rule carries that on."""
+    k, v = p.period, p.vals
+    return all(v[i + k] == v[i] + k for i in range(len(v) - k))
+
+
+def _period_inverse(vals: list[int]) -> list[int]:
+    # alpha(i) = r + k t with r in [0, k) gives alpha^-1(r) = i - k t
+    k = len(vals)
+    out = [0] * k
+    for i, v in enumerate(vals):
+        out[v % k] = i - v + v % k
+    return out
+
+
 def inverse(p: Permutation) -> Permutation:
     """The inverse bijection (same period after canonicalization).
 
-    Its window holds the preimages of [min(vals) - k, max(vals) + k], which
-    reach one period into each tail class.
+    A globally periodic p is inverted on one period.  Otherwise the window
+    holds the preimages of [min(vals) - k, max(vals) + k], which reach one
+    period into each tail class.
     """
     k, vals = p.period, p.vals
+    if is_affine(p):
+        return from_window(k, 0, _period_inverse(_images(k, p.lo, vals, 0, k - 1)))
     lo_i = min(vals) - k
     size = max(vals) + k - lo_i + 1
     if size > _max_window:
@@ -593,15 +609,17 @@ def inverse(p: Permutation) -> Permutation:
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
-    """The bijection n -> p(q(n))."""
+    """The bijection n -> p(q(n)); on one common period when both operands
+    are globally periodic, as their composition is."""
     k = math.lcm(p.period, q.period)
+    if is_affine(p) and is_affine(q):
+        # each period is under the cap, their lcm need not be
+        _check_window("composition window", k)
+        mid = _images(q.period, q.lo, q.vals, 0, k - 1)
+        return from_window(k, 0, [_tail_apply(p.period, p.lo, p.vals, v) for v in mid])
     lo_n = min(q.lo, p.lo - q.diff_bound) - k
     hi_n = max(q.hi, p.hi + q.diff_bound) + k
-    if hi_n - lo_n + 1 > _max_window:
-        raise ResourceLimit(
-            f"composition window of {hi_n - lo_n + 1} entries exceeds cap "
-            f"{_max_window}"
-        )
+    _check_window("composition window", hi_n - lo_n + 1)
     mid = _images(q.period, q.lo, q.vals, lo_n, hi_n)
     # q moves no point by more than its diff bound
     m0 = lo_n - q.diff_bound
@@ -723,66 +741,68 @@ def has_inversion(p: Permutation, u: int, v: int) -> bool:
     return u < v and apply(p, u) > apply(p, v)
 
 
-def _relative_images(p: Permutation, n0: int, n1: int) -> np.ndarray:
-    """alpha(n) - n0 for n in [n0, n1]; relative to n0 they stay within
-    diff_bound of the band, so int64 holds them wherever the band lies."""
-    import numpy as np
-    images = _images(p.period, p.lo, p.vals, n0, n1)
-    return np.array([v - n0 for v in images], dtype=np.int64)
-
-
-def _inversion_masks(
-    ps: Sequence[Permutation], u_lo: int, u_hi: int, span: int
-) -> Iterator[tuple[int, list[np.ndarray]]]:
-    """For d = 1..span, (d, masks): masks[j][i] holds when (u, u + d) with
-    u = u_lo + i <= u_hi is an inversion of ps[j].
-
-    Each operand is evaluated once on [u_lo, u_hi + span] and each mask
-    compares two shifted slices, so memory stays linear in the band.
-    """
-    size = u_hi + span - u_lo + 1
-    if size > _max_window:
+def _inversion_band(ps: Sequence[Permutation], u_lo: int, n1: int) -> list[list[int]]:
+    """Each operand's images on [u_lo, n1], the length checked first."""
+    if n1 - u_lo >= _max_window:
         raise ResourceLimit(
-            f"inversion band of {size} entries exceeds cap {_max_window}"
+            f"inversion band of {n1 - u_lo + 1} entries exceeds cap {_max_window}"
         )
-    rows = max(u_hi - u_lo + 1, 0)
-    images = [_relative_images(p, u_lo, u_hi + span) for p in ps]
-    for d in range(1, span + 1):
-        yield d, [a[:rows] > a[d : d + rows] for a in images]
+    return [_images(p.period, p.lo, p.vals, u_lo, n1) for p in ps]
 
 
 def first_inversion(
-    ps: Sequence[Permutation], m: int, combine: Callable[..., np.ndarray]
+    p: Permutation, q: Permutation, m: int, sign: int
 ) -> tuple[int, int] | None:
-    """The first (u, v), in (u, v) order, where ``combine`` of the operands'
-    inversion masks holds; None if there is none.
+    """The first (u, v), in (u, v) order, with u < v, p(u) > p(v) and
+    sign * q(u) > sign * q(v), or None: a common inversion of p and q for
+    sign 1, an inversion of p that q does not invert for sign -1.
 
     ``m`` bounds the diff_bound of some operand that inverts at every hit, so
     hits have v - u <= 2m: beyond that alpha(v) >= v - m > u + m >= alpha(u).
-    Deep in the tails the masks repeat diagonally with the period, so u
-    sweeps the windows plus one common period and the span beyond them.
+    Deep in the tails the hits repeat diagonally with the period k, so the
+    windows with k + 2m + 2 to spare on each side decide the question, and a
+    hit right of u_hi = max(hi) + k + 2 repeats at u - k: the first in the
+    band has u <= u_hi.  Walking the band down, a Fenwick tree over the ranks
+    of p's images keeps the least sign * q(v) of the v passed: u has a hit
+    when the least below the rank of p(u) lies under sign * q(u).  The lowest
+    such u is the witness row, and a scan right of it gives its first v.
     """
-    k = math.lcm(*(p.period for p in ps))
-    u_lo = min(p.lo for p in ps) - k - 2 * m - 2
-    u_hi = max(p.hi for p in ps) + k + 2
-    hits = [
-        (int(hit.argmax()), d)
-        for d, masks in _inversion_masks(ps, u_lo, u_hi, 2 * m)
-        if (hit := combine(*masks)).any()
-    ]
-    if not hits:
+    k = math.lcm(p.period, q.period)
+    u_lo = min(p.lo, q.lo) - k - 2 * m - 2
+    a, b = _inversion_band((p, q), u_lo, max(p.hi, q.hi) + k + 2 + 2 * m)
+    b = [sign * y for y in b]
+    size, row = len(a), None
+    # the rank of each image of p in the band: the inverse of its sort order
+    rank = sorted(range(size), key=sorted(range(size), key=a.__getitem__).__getitem__)
+    # tree[r] holds the least b at the ranks [r - lowbit(r), r) of a
+    tree = [max(b) + 1] * (size + 1)
+    for i in range(size - 1, -1, -1):
+        j, y = rank[i], b[i]
+        r = j + 1
+        while j and tree[j] >= y:
+            j &= j - 1
+        if j:
+            row = i
+        # a node's ranks hold its child's, so one at or below y ends the climb
+        while r <= size and y < tree[r]:
+            tree[r] = y
+            r += r & -r
+    if row is None:
         return None
-    i, d = min(hits)
-    return u_lo + i, u_lo + i + d
+    v = next(v for v in range(row + 1, size) if a[v] < a[row] and b[v] < b[row])
+    return u_lo + row, u_lo + v
 
 
 def inversions_in(p: Permutation, u_lo: int, u_hi: int) -> list[tuple[int, int]]:
     """All inversions (u, v) with u in [u_lo, u_hi], in (u, v) order."""
-    import numpy as np
-    out = []
-    for d, (mask,) in _inversion_masks((p,), u_lo, u_hi, 2 * p.diff_bound):
-        out.extend((u_lo + int(i), u_lo + int(i) + d) for i in np.flatnonzero(mask))
-    return sorted(out)
+    span = 2 * p.diff_bound
+    (a,) = _inversion_band((p,), u_lo, u_hi + span)
+    return [
+        (u_lo + i, u_lo + j)
+        for i, x in enumerate(a[: max(u_hi - u_lo + 1, 0)])
+        for j in range(i + 1, i + span + 1)
+        if a[j] < x
+    ]
 
 
 def _inversions(seq: Sequence[int]) -> int:

@@ -45,7 +45,7 @@ from .errors import (
     ResourceLimit,
 )
 from .order import EssPoint, EssSet, perm_box, scan_region
-from .perm import _GRID_CELL_CAP, Permutation, _relative_images, apply, from_window
+from .perm import _GRID_CELL_CAP, Permutation, _images, apply, from_window
 
 if TYPE_CHECKING:  # annotations only; numpy loads where arrays are built
     import numpy as np
@@ -224,7 +224,8 @@ def rank_table(p: Permutation, a0: int, a1: int, b0: int, b1: int) -> np.ndarray
             f"needs integers up to {reach}, over the int64 limit {2**62}"
         )
     a = np.arange(a0, a1 + 1, dtype=np.int64)
-    below = b0 + _relative_images(p, b0, b1)[None, :] < a[:, None]
+    img = np.array(_images(k, lo, p.vals, b0, b1), dtype=np.int64)
+    below = img[None, :] < a[:, None]
     counts = np.cumsum(below[:, ::-1], axis=1, dtype=np.int64)[:, ::-1]
     n0 = max(b1, hi) + 1
     firsts = [apply(p, n) for n in range(n0, n0 + k)]

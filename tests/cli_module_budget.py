@@ -3,7 +3,7 @@ it loads none of the modules outside its budget: the slipface grid engine
 (``demaz.slipface``), the brute-force ``demaz.oracle``, ``dataclasses``,
 ``inspect`` and ``numpy``.  Two grid verbs, ``--extended-checks`` and
 ``rankgrid glue``, must still load ``demaz.slipface``, so the check cannot
-pass vacuously; without numpy installed they stop at its import, after
+pass vacuously; without numpy installed they exit 3 at its import, after
 loading the grid engine.  The children import demaz from this checkout's
 src directory:
 
@@ -42,6 +42,8 @@ LIGHT = [
       "--brange=-2:2"], 0),
     (["validate", A3], 0),
     (["validate", "ep(k=2, lo=0; 0 2)"], 1),
+    (["compare", "wleft", "sym(1; 3 2 1)", "sym(1; 2 1)"], 1),
+    (["compare", "wright", A3, "ep(k=7, lo=0; 20 14 24 18 12 29 23)"], 1),
 ]
 # verbs that run the grid engine
 GRID = [
@@ -54,15 +56,12 @@ CHILD = f"""
 import contextlib, io, sys
 from demaz.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
-    try:
-        code = main(sys.argv[1:])
-    except ImportError:  # a grid verb without numpy installed
-        code = None
+    code = main(sys.argv[1:])
 print(code, *[m for m in {OUTSIDE!r} if m in sys.modules])
 """
 
 
-def loaded(argv: list[str]) -> tuple[int | None, list[str]]:
+def loaded(argv: list[str]) -> tuple[int, list[str]]:
     """The exit code of ``demaz ARGV`` in a fresh interpreter, and which of
     the OUTSIDE modules it loaded."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
@@ -74,7 +73,7 @@ def loaded(argv: list[str]) -> tuple[int | None, list[str]]:
     if proc.returncode != 0 or not proc.stdout:
         raise RuntimeError(f"demaz {argv} crashed: {proc.stderr[-1000:]}")
     code, *modules = proc.stdout.split()
-    return (None if code == "None" else int(code)), modules
+    return int(code), modules
 
 
 def run() -> int:

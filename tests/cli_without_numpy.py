@@ -1,10 +1,13 @@
-"""Run the CLI verbs that need no numpy (star, tll, tlr, compare leq, ess,
-inv, render of permutations) with numpy made unimportable, and check their
-exit codes and standard output against tests/golden/numpy_free_cli.txt.
+"""Run the CLI verbs that need no numpy (star, tll, tlr, compare, ess, inv,
+render of permutations) with numpy made unimportable, and check their exit
+codes and standard output against tests/golden/numpy_free_cli.txt.  One
+grid verb, ``rankgrid glue``, must exit 3 there with no output.
 
 The golden file holds one case per ``$ ARGV`` line, followed by the exact
 standard output and an ``[exit CODE]`` line; the bytes were recorded from
-the numpy grid engine.  Run it from the repository root:
+the numpy grid engine, and those of ``compare wleft`` and ``compare
+wright`` from the numpy inversion masks that the pure-Python scan
+replaced.  Run it from the repository root:
 
     PYTHONPATH=src python tests/cli_without_numpy.py
 """
@@ -40,7 +43,8 @@ def run() -> int:
     failed = 0
     for argv, code, want in todo:
         buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
+        quiet = contextlib.redirect_stderr(io.StringIO())
+        with contextlib.redirect_stdout(buf), quiet:
             got = main(argv)
         if (got, buf.getvalue()) != (code, want):
             failed += 1

@@ -164,6 +164,23 @@ def inversion_pairs(rng):
     return pairs
 
 
+def inversion_scan_pairs(rng):
+    """inversion_pairs, plus mixed_tails against each other and against zoo
+    members in both orders, and random S_d up to d = 120 near 0 and near
+    +-10^4, each with partners that make the pair weak-below or reduced."""
+    pairs = inversion_pairs(rng)
+    for _ in range(10):
+        m = mixed_tails(rng)
+        for other in (mixed_tails(rng), zoo_perm(rng)):
+            pairs += [(m, other), (other, m)]
+    for d, off in ((120, 0), (60, 10**4), (120, 10**4), (60, -10**4), (120, -10**4)):
+        near = off + rng.randint(-5, 5)
+        p, q = [sym(rng, d, near, rng.randint(-50, 50)) for _ in "pq"]
+        # p lies weak-below star(q, p), and star(p, q) q^-1 is reduced against q
+        pairs += [(p, q), (p, star(q, p)), (compose(star(p, q), inverse(q)), q)]
+    return pairs
+
+
 def rand_sigma_fin(rng):
     """Random set of pairwise non-adjacent integers in a small window."""
     out = []

@@ -433,8 +433,12 @@ def test_huge_inputs_end_in_exit_codes(argv, code):
         ["inverse", "sigma_mod(0," + "9" * 30 + ")"],
         # a valid-length window whose violation band spans 4 * 10^12 entries
         ["validate", "ep(k=1, lo=0; 0 999999999999)"],
+        # two periods under the cap whose lcm, the product's period, is not
+        ["compose", "sigma_mod(0,99991)", "sigma_mod(0,99989)"],
+        ["compose", "sigma_mod(0,1009)", "sigma_mod(0,1013)"],
     ],
-    ids=["gamma-1e12", "sigma-mod-1e30", "band-4e12"],
+    ids=["gamma-1e12", "sigma-mod-1e30", "band-4e12", "compose-lcm-1e10",
+         "compose-lcm-1e6"],
 )
 def test_windows_over_the_cap_are_refused_before_they_are_built(argv):
     src = os.path.dirname(os.path.dirname(demazure.__file__))
@@ -508,9 +512,9 @@ FOLDED = [
         (["validate", "aff(3; 2 -3 4)"], False),
         (["oracle", "star", "sym(1; 2 1)", "sym(1; 1 3 2)"], False),
         (["star", "--json", "aff(3; 2 -3 4)", "sym(1; 3 1 4 2)"], False),
-        # these build inversion masks or grids, so the check cannot pass
-        # vacuously
-        (["compare", "wleft", "sym(1; 2 1)", "sym(1; 3 2 1)"], True),
+        # the inversion scan is pure Python
+        (["compare", "wleft", "sym(1; 2 1)", "sym(1; 3 2 1)"], False),
+        # this builds grids, so the check cannot pass vacuously
         (["rankgrid", "glue", "sym(1; 2 1)", "sym(1; 1 3 2)"], True),
         # a mixed-tail operand: two folds and a stitch
         (["star", "ep(k=2, lo=-2; -2 -1 1 0)", "sym(1; 2 1)"], False),
@@ -552,7 +556,7 @@ def test_numpy_free_verbs_match_their_goldens():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.endswith("46 of 46 numpy-free CLI goldens match\n")
+    assert proc.stdout.endswith("56 of 56 numpy-free CLI goldens match\n")
 
 
 @pytest.mark.parametrize("argv, code", cli_module_budget.LIGHT)

@@ -6,6 +6,7 @@ import sys
 
 from conftest import (
     inversion_pairs,
+    inversion_scan_pairs,
     line_of,
     mixed_tails,
     rand_affine,
@@ -276,7 +277,7 @@ def weak_left_by_loops(p, q):
 
 def test_inversion_scan_matches_the_per_pair_loops(rng):
     verdicts = set()
-    for p, q in inversion_pairs(rng):
+    for p, q in inversion_scan_pairs(rng):
         got = is_reduced_pair_witness(p, q)
         assert got == reduced_pair_by_loops(p, q), (p, q)
         verdicts.add(("reduced", got[0]))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (
-    inversion_pairs,
+    inversion_scan_pairs,
     line_of,
     mixed_tails,
     rand_affine,
@@ -334,6 +334,25 @@ def test_inverse_matches_the_preimage_scan(rng):
         assert q == compose(inverse(a), make_shift(-chi))
 
 
+def test_globally_periodic_operands_invert_and_compose_on_one_period(rng):
+    # values far apart once gave an inverse or composition window over the
+    # cap, though the canonical answers have two entries
+    far = make_affine([0, 2000001], 2)
+    assert inverse(far) == make_affine([0, -1999999], 2)
+    assert compose(far, inverse(far)) == identity()
+    huge = make_affine([0, 10**20 + 1], 2)
+    assert compose(make_shift(1), huge) == make_affine([-1, 10**20], 2)
+    assert inverse(huge) == make_affine([0, 1 - 10**20], 2)
+    for _ in range(60):
+        p = rand_affine(rng, rng.randint(1, 6), 3)
+        p = compose(make_shift(rng.randint(-9, 9)), p)
+        q = rand_affine(rng, rng.randint(1, 4), 3)
+        r, pi = compose(p, q), inverse(p)
+        for n in range(-20, 21):
+            assert apply(r, n) == apply(p, apply(q, n)), (p, q)
+            assert apply(pi, apply(p, n)) == n, p
+
+
 def _counter_pool(rng):
     """Zoo members, mixed tails, star(affine, S_d) and S_d with windows near
     +-10^4, each also shifted by +-10^20."""
@@ -395,8 +414,9 @@ def test_eval_s_at_caps_the_right_tail():
 
 
 def test_inversion_scan_matches_the_per_pair_loops(rng):
-    operands = {p for pair in inversion_pairs(rng) for p in pair}
+    operands = {p for pair in inversion_scan_pairs(rng) for p in pair}
     finitary = 0
+    listed = set()
     for p in operands:
         m = p.diff_bound
         for u_lo, u_hi in ((p.lo - 2 * m - 3, p.hi + 2), (p.lo - 40, p.lo - 33)):
@@ -408,6 +428,7 @@ def test_inversion_scan_matches_the_per_pair_loops(rng):
                 if apply(p, u) > apply(p, v)
             ]
             assert inversions_in(p, u_lo, u_hi) == want, (p, u_lo, u_hi)
+            listed.add(bool(want))
         if not is_finitary(p):
             with pytest.raises(InfiniteInversions):
                 inv_count(p)
@@ -419,7 +440,8 @@ def test_inversion_scan_matches_the_per_pair_loops(rng):
         )
         assert inv_count(p) == brute, p
         finitary += 1
-    assert finitary > 20
+    assert finitary > 20 and len(operands) - finitary > 20
+    assert listed == {True, False}
 
 
 def test_inversion_band_is_capped_before_allocation():
