@@ -6,10 +6,14 @@ the smaller side (Fulton's essential set; Bjorner-Brenti, Combinatorics of
 Coxeter Groups, Thm 8.3.7 for the affine symmetric group).  One sweep of
 ``essential_cells`` reads those cells of p, with the values of s_p there,
 off the descents of p, and ``perm.eval_s_at`` counts s_q at them: exact
-integer counts, with no rank table and no grid arrays.  A period-1 left side has
-all of its cells in its window; any other is scanned on the square that the
-grid comparison ``sf_leq_ess`` scans, so verdict and witness cell are its
-own.
+integer counts, with no rank table and no grid arrays.  Equal sides answer
+at once.  A period-1 left side has all of its cells in its window.  Any
+other is scanned on three zones (``_zones``): the rows where both sides
+follow their left germs, one period deep; the columns where both follow
+their right germs, one period wide; and the cells between.  A failing cell
+of the left zone stands for its diagonal translates, and moves to the
+lowest of them on the square that the grid comparison ``sf_leq_ess``
+scans, so verdict and witness cell are its own.
 
 The weak orders compare inversion sets with the pure-Python sweep of
 ``perm.first_inversion``, q's images negated: it decides the question
@@ -33,6 +37,7 @@ from .perm import (
     eval_s_at,
     first_inversion,
     inverse,
+    is_affine,
 )
 
 __all__ = [
@@ -158,15 +163,103 @@ def perm_ess_set(p: Permutation) -> EssSet:
     return EssSet(tuple(points), periodic, k)
 
 
+def _displacements(p: Permutation) -> tuple[int, int]:
+    """The least and the largest alpha(n) - n over all n: the tails repeat
+    the displacements of the window's end periods."""
+    d = list(map(int.__sub__, p.vals, range(p.lo, p.hi + 1)))
+    return min(d), max(d)
+
+
+def _zones(
+    p: Permutation, q: Permutation
+) -> tuple[int, int, int, int, int, int]:
+    """(a0, a1, b0, b1, top, K): a rectangle [a0, a1] x [b0, b1] whose
+    failing cells, those with a <= top moved by multiples of K, include the
+    first failing essential cell of s_p in (a, b) order on any square
+    [r0, r1]^2 that reaches past both windows by their diff bounds and K.
+
+    With K the lcm of the periods, f in {p, q}, A_f and B_f its left and
+    right germs (the first and last period of its window, repeated, so of
+    period dividing K) and [mu_f, nu_f] its displacements alpha(n) - n:
+
+    - Left zone.  For a <= lo_f + k_f + mu_f, s_f(a, b) = s_{A_f}(a, b) for
+      every b: f and A_f agree below lo_f + k_f, and from there on both
+      map n to at least n + mu_f >= a, so neither counts such an n.  The
+      essential test of p reads s_p on rows a - 1 .. a + 1 and the
+      comparison s_q on row a, so on rows a <= top = min_f(lo_f + k_f +
+      mu_f) - 1 a cell is essential and failing exactly when it is for the
+      germs, whose rank functions repeat along the diagonal with period K:
+      s_A(a + K, b + K) = s_A(a, b).
+    - Right zone.  For b >= hi_f - k_f + 1, s_f(a, b) = s_{B_f}(a, b) for
+      every a, since only n >= b count; the test reads columns b - 1 .. b +
+      1, so from b >= bottom = max_f(hi_f - k_f) + 2 on the outcome repeats
+      with period K as well.
+    - A globally periodic f is its own germ on every cell, so it bounds
+      neither zone, and its window, which could sit anywhere, does not
+      count in top or bottom.
+    - An essential cell has alpha(b) < a <= alpha(b - 1), so mu_p + 1 <= a -
+      b <= nu_p - 1.
+
+    Take the first failing cell g = (a, b) of the square.  If a <= top, one
+    translate g + jK, j >= 0, has its row in [top - K + 1, top], so its
+    column in [top - K + 2 - nu_p, top - mu_p - 1]: the rectangle holds it,
+    and g is the lowest of its translates on the square.  If a > top and b
+    >= bottom, g - K would be a failing cell of the square too unless b <
+    bottom + K, so g has a column in [bottom, bottom + K - 1] and a row up
+    to bottom + K + nu_p - 2.  If a > top and b < bottom, its row is at most
+    bottom + nu_p - 2 and its column above top + 1 - nu_p.  The rectangle
+    covers these three cases.  Its rows lie on the square (top - K
+    exceeds r0 and top stays below r1, by the reach of the square), so
+    cutting them at r1 loses nothing, nor does cutting the columns at r0,
+    since a translate g + jK lies no lower than g.  Its columns can pass
+    r1, when p's displacements reach further than the other side's box:
+    a left-zone cell there moves back onto the square, and a cell of the
+    other cases is not on it, so it is dropped.  Then the least of the
+    moved failing cells is g.  When both sides are globally
+    periodic, every row is in the left zone and rows [top - K + 1, top],
+    one period at p's window, are enough.
+
+    The bounds follow the windows and the displacements, not the diff
+    bounds: the rectangle is about 2K plus the span of the windows plus
+    twice p's displacement range on a side, and a shift composed with both
+    sides, on the left or on the right, moves it without growing it."""
+    k = math.lcm(p.period, q.period)
+    mu, nu = _displacements(p)
+    sides = [f for f in (p, q) if not is_affine(f)]
+    top = min(f.lo + f.period + _displacements(f)[0] for f in sides or [p]) - 1
+    if sides:
+        bottom = max(f.hi - f.period for f in sides) + 2
+        a1, b1 = max(top, bottom + k + nu - 2), max(top - mu - 1, bottom + k - 1)
+    else:
+        a1, b1 = top, top - mu - 1
+    a0 = top - k + 1
+    return a0, a1, a0 - nu + 1, b1, top, k
+
+
 def bruhat_leq_witness(
     p: Permutation, q: Permutation
 ) -> tuple[bool, tuple[int, int] | None]:
     """Whether s_p <= s_q, with the first failing essential cell of s_p in
-    (a, b) order; the same verdict and cell as the grid comparison."""
+    (a, b) order on the square [r0, r1]^2 of ``scan_region``: the same
+    verdict and cell as the grid comparison ``sf_leq_ess``.
+
+    p == q holds at once.  A period-1 p is scanned on its window, which
+    holds all of its essential cells.  Any other p is scanned on the
+    rectangle of ``_zones``, its rows and its first column on the square;
+    each failing cell with a <= top moves down the diagonal by the multiple
+    of K that gives its first translate with both coordinates >= r0, a
+    failing cell still past column r1 is dropped, and the least cell left,
+    moved or not, is the witness."""
+    if p == q:
+        return True, None
     r0, r1, far = scan_region(perm_box(p), perm_box(q))
     if p.chi > q.chi:
         return False, far
-    columns = essential_cells(p, *_region(p, r0, r1))
+    if p.period == 1:
+        columns = essential_cells(p, *_region(p, r0, r1))
+    else:
+        a0, a1, b0, b1, top, k = _zones(p, q)
+        columns = essential_cells(p, max(a0, r0), min(a1, r1), max(b0, r0), b1)
     sq = eval_s_at(q, [(b, rows) for b, rows, _ in columns])
     bad = [
         (a, b)
@@ -174,6 +267,16 @@ def bruhat_leq_witness(
         for a, x, y in zip(rows, sp, tq)
         if x > y
     ]
+    if p.period > 1:
+        cells = []
+        for a, b in bad:
+            if a <= top:
+                j = (min(a, b) - r0) // k * k
+                cells.append((a - j, b - j))
+            elif b <= r1:
+                # past the square's last column: not a cell the grid sees
+                cells.append((a, b))
+        bad = cells
     return (False, min(bad)) if bad else (True, None)
 
 

@@ -234,9 +234,11 @@ def test_size_caps_apply_before_allocation(rng):
     e = sym(rng, 3)
     assert e == make_shift(0)
     assert star(far, e) == far
-    wide = sym(rng, 7000)
+    # equal sides answer without a scan, so the comparison takes two
+    wide, other = sym(rng, 7000), sym(rng, 7000)
+    assert wide != other
     with pytest.raises(ResourceLimit, match=r"\(49014001 cells\) exceed cap"):
-        bruhat_leq_witness(wide, wide)
+        bruhat_leq_witness(wide, other)
 
 
 # ---------------------------------------------------------------------------

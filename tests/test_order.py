@@ -2,7 +2,10 @@
 
 import itertools
 import math
+import random
 import sys
+
+import pytest
 
 from conftest import (
     inversion_pairs,
@@ -45,9 +48,10 @@ from demaz import (
     weak_right_leq,
     weak_right_leq_witness,
 )
-from demaz import slipface
+from demaz import order, slipface
 from demaz.cli import main
 from demaz.oracle import sd_leq
+from demaz.perm import is_affine
 
 
 def test_bruhat_matches_oracle_s4():
@@ -107,34 +111,167 @@ def test_bruhat_witness_matches_the_grid_comparison(rng):
     assert outcomes >= {(True, False, True), (False, False, True), (False, True, True)}
 
 
+def _far_coprime(rng, off):
+    """A period-5 and a period-7 operand, each an affine starred with a
+    random S_d near off and shifted by up to 50; a star that gives back a
+    globally periodic operand, whose canonical window sits at 0, is drawn
+    again, so that the grid comparison can span both windows."""
+    out = []
+    for k in (5, 7):
+        p = identity()
+        while is_affine(p):
+            p = star(rand_affine(rng, k, 1), sym(rng, rng.randint(3, 8), off + rng.randint(-5, 5)))
+        out.append(compose(make_shift(rng.randint(-50, 50)), p))
+    return out
+
+
+def _reduce_path_pairs(p, q):
+    """The comparisons that reduce(p, q, g) makes besides the pair's own:
+    (alpha1, p), (beta1, q) and (g, star(p, q)), for g = star(p, q) and the
+    smaller g = compose(p, q)."""
+    st = star(p, q)
+    pairs = []
+    for g in (st, compose(p, q)):
+        w = reduce(p, q, g)
+        pairs += [(w.alpha1, p), (w.beta1, q), (g, st)]
+    return pairs
+
+
 def _sweep_pairs(rng):
     """inversion_pairs (windows near +-10^4, |chi| up to 50, periods 5 and
-    7), coprime periods 5 and 7 against each other, mixed tails, and each
-    pair's star, with a left side shifted above the right one."""
+    7), coprime periods 5 and 7 against each other, near 0 and near +-10^4,
+    mixed tails against each other and against other operands, each pair's
+    star, the comparisons of reduce on periodic pairs, and left sides
+    shifted above the right one."""
     pairs = inversion_pairs(rng)
     for _ in range(6):
         p, q = rand_affine(rng, 5, 1), rand_affine(rng, 7, 1)
         q = compose(make_shift(rng.randint(-50, 50)), q)
         pairs += [(p, q), (q, p), (p, star(p, q)), (star(q, p), q)]
+        pairs += _reduce_path_pairs(p, q)
+    for off in (10**4, -(10**4)):
+        for _ in range(3):
+            p, q = _far_coprime(rng, off)
+            quad = [(p, q), (q, p), (p, star(p, q)), (star(q, p), q)]
+            # a globally periodic star's window sits at 0, out of the grid's reach
+            pairs += [pq for pq in quad if not any(map(is_affine, pq))]
     for _ in range(12):
         m = mixed_tails(rng)
         other = rng.choice((zoo_perm(rng), mixed_tails(rng), rand_affine(rng, 3, 1)))
-        pairs += [(m, other), (other, m), (m, star(m, other))]
+        m2 = mixed_tails(rng)
+        pairs += [(m, other), (other, m), (m, star(m, other)), (m, m2)]
+    for p, q in periodic_pairs(rng)[::3]:
+        pairs += _reduce_path_pairs(p, q)
     for p, q in pairs[::7]:
         pairs.append((compose(make_shift(q.chi - p.chi + rng.randint(1, 3)), p), q))
     return pairs
 
 
+def _witness_zone(p, q, got):
+    """Where the zone scan found the failing witness of a period > 1 left
+    side: "moved" down the diagonal from the left zone, below the scanned
+    rows, or "core" above that zone; None for other outcomes."""
+    if got[0] or p.period == 1 or p.chi > q.chi:
+        return None
+    a0, _, _, _, top, _ = order._zones(p, q)
+    a = got[1][0]
+    if a <= top:
+        assert a < a0
+        return "moved"
+    return "core"
+
+
 def test_essential_sweep_matches_the_grid_comparison(rng):
-    outcomes = set()
+    outcomes, zones = set(), set()
     for p, q in _sweep_pairs(rng):
         got = bruhat_leq_witness(p, q)
         assert got == sf_leq_ess(sf_from_perm(p), sf_from_perm(q)), (p, q)
         outcomes.add((got[0], p.chi > q.chi, max(p.period, q.period) > 1))
+        zones.add(_witness_zone(p, q, got))
     assert outcomes >= {
         (True, False, False), (False, False, False), (True, False, True),
         (False, False, True), (False, True, False), (False, True, True),
     }
+    assert zones >= {"moved", "core"}
+
+
+def test_far_window_against_a_globally_periodic_side(rng):
+    """A globally periodic side bounds no zone, so a far window against it
+    scans near that window, where the grid refuses the square between the
+    two; the verdict is that of the pair translated to 0, and the witness a
+    failing essential cell."""
+    seen = set()
+    for off in (10**4, -(10**4)):
+        for _ in range(4):
+            far, _ = _far_coprime(rng, off)
+            t = far.lo
+            near = compose(make_shift(t), compose(far, make_shift(-t)))
+            for a in (rand_affine(rng, 7, 1), star(rand_affine(rng, 3, 1), rand_affine(rng, 7, 1))):
+                a = compose(make_shift(rng.randint(-50, 50)), a)
+                for (p, q), (p0, q0) in (((far, a), (near, a)), ((a, far), (a, near))):
+                    got = bruhat_leq_witness(p, q)
+                    assert got[0] == sf_leq_ess(sf_from_perm(p0), sf_from_perm(q0))[0]
+                    seen.add(got[0])
+                    if not got[0] and p.chi <= q.chi:
+                        x, y = got[1]
+                        assert eval_s(p, x, y) > eval_s(q, x, y)
+                        assert [c[:2] for c in order.essential_cells(p, x, x, y, y)] == [(y, [x])]
+    assert seen == {True, False}
+
+
+@pytest.mark.extended
+def test_zone_scan_matches_the_grid_on_many_pairs():
+    rng = random.Random(16)
+    outcomes, zones, n = set(), set(), 0
+    while n < 5000:
+        for p, q in _sweep_pairs(rng):
+            got = bruhat_leq_witness(p, q)
+            assert got == sf_leq_ess(sf_from_perm(p), sf_from_perm(q)), (p, q)
+            outcomes.add((got[0], p.chi > q.chi, p.period > 1))
+            zones.add(_witness_zone(p, q, got))
+            n += 1
+    assert len(outcomes) == 6
+    assert zones >= {"moved", "core"}
+
+
+def test_zone_scan_is_bounded_by_its_work(rng, monkeypatch, capsys):
+    rects = []
+    real = order.essential_cells
+
+    def recording(p, a0, a1, b0, b1):
+        rects.append((a1 - a0 + 1, b1 - b0 + 1))
+        return real(p, a0, a1, b0, b1)
+
+    def scanned(p, q):
+        rects.clear()
+        bruhat_leq_witness(p, q)
+        (rect,) = rects
+        return rect
+
+    monkeypatch.setattr(order, "essential_cells", recording)
+    checked = 0
+    for p, q in _sweep_pairs(rng) + periodic_pairs(rng):
+        if p.period == 1 or p == q or p.chi > q.chi:
+            continue
+        k = math.lcm(p.period, q.period)
+        left = min(f.lo + f.period - f.diff_bound for f in (p, q)) - 2
+        right = max(f.hi - f.period for f in (p, q)) + 2
+        rows, cols = scanned(p, q)
+        assert max(rows, cols) <= right - left + 2 * k + 2 * p.diff_bound + 4, (p, q)
+        # a shift composed with both sides, on either side, grows nothing
+        for t in (make_shift(-50), make_shift(50)):
+            for pair in ((compose(t, p), compose(t, q)), (compose(p, t), compose(q, t))):
+                r2, c2 = scanned(*pair)
+                assert r2 <= rows and c2 <= cols, (p, q, t)
+        checked += 1
+    assert checked >= 50
+    rects.clear()
+    for p, _ in periodic_pairs(rng):
+        assert bruhat_leq_witness(p, p) == (True, None)
+        text = format_perm(p)
+        assert main(["compare", "leq", text, text]) == 0
+    assert rects == []
+    capsys.readouterr()
 
 
 def test_perm_ess_set_matches_the_grid(rng):
