@@ -4,19 +4,17 @@ star(a, b) is the unique permutation whose slipface is the min-plus product
 of the factors' slipfaces; tll and tlr are the Bruhat-minimal solutions of
 the corresponding one-sided inequalities.  All three fold an affine
 reduced word on one period (``finitary.affine_product``) for every pair,
-by one of three routes:
+by one of two routes:
 
 - finitary factor, when the operand whose word is folded has period 1
   (the right one for star and tll, the left one for tlr, either for
   star): a fold on that operand's own window, the other operand's values
   there relabelled by rank, whatever its period and tails;
-- periodized, for the other pairs with equal tails (tll with a period-1
+- germs and a finitary middle, for the other pairs (tll with a period-1
   left operand, tlr with a period-1 right one, and pairs of period > 1):
-  the lcm of the periods for globally periodic pairs, else a
-  periodization around the windows;
-- stitched, for the other pairs with a mixed-tail operand: two
-  periodized folds of the operands closed at each end, stitched between
-  the windows.
+  the products of the operands' germs on one period of the lcm of the
+  periods, which alone serve two globally periodic operands, and one fold
+  of the operands truncated to finitary permutations around the windows.
 
 The slipface grid engine and reconstruction, ``grid_product``, computes
 every pair too, as the reference.  Generator inputs (disjoint adjacent
@@ -48,7 +46,7 @@ from .perm import (
     from_window,
     identity,
     inverse,
-    make_shift,
+    is_affine,
     make_sigma_set,
 )
 from .order import bruhat_leq_witness, leq_chi
@@ -77,15 +75,23 @@ def grid_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
     shifts are factored out first, p = T_u p' and q = q' T_w with u =
     chi_p, w = chi_q and T_chi: n -> n - chi, and kind(p, q) = T_u kind(p',
     q') T_w (step 0 of ``finitary.affine_product``), so the grids do not
-    grow with |chi|."""
+    grow with |chi|.  The factors are then conjugated by the translation
+    n -> n - c that brings the least window start c of those not globally
+    periodic to 0, and the result back: conjugation by a translation maps
+    simple reflections to simple reflections, so it commutes with all
+    three kinds, and the grids do not span the gap between a window far
+    from 0 and a globally periodic operand's, which sits at 0."""
     from . import slipface
 
     grid = {"star": slipface.sf_star, "tll": slipface.sf_tll, "tlr": slipface.sf_tlr}
     u, w = p.chi, q.chi
-    p0, q0 = compose(make_shift(-u), p), compose(q, make_shift(-w))
+    c = min((f.lo - s for f, s in ((p, 0), (q, w)) if not is_affine(f)), default=0)
+    # n -> p(n + c) + u - c and n -> q(n + c + w) - c
+    p0 = from_window(p.period, p.lo - c, [v + u - c for v in p.vals])
+    q0 = from_window(q.period, q.lo - c - w, [v - c for v in q.vals])
     s0, t0 = slipface.sf_from_perm(p0), slipface.sf_from_perm(q0)
     r = slipface.sf_to_perm(grid[kind](s0, t0))
-    return compose(make_shift(u), compose(r, make_shift(w)))
+    return from_window(r.period, r.lo + c + w, [v + c - u for v in r.vals])
 
 
 def _product(kind: str, p: Permutation, q: Permutation) -> Permutation:

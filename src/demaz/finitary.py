@@ -1,17 +1,16 @@
 """The word-fold engine: star, tll and tlr of any two permutations, without
 slipface grids.
 
-Shifts, which have length 0, are factored out of the operands where that
-shrinks the fold, and the two factors fold on one period of M-periodic
-permutations in the affine symmetric group, whose simple reflections s_0
-... s_{M-1} swap n, n + 1 in every period (s_{M-1} swaps M - 1 and M).
-star(x, v) folds a reduced word s_j1 s_j2 ... of v into x from the right,
-swapping positions j, j + 1 only where the running result ascends; tll
-swaps only where it descends; tlr is the mirror tlr(x, v) =
-inverse(tll(inverse(v), inverse(x))) on the period arrays.  The word is
-what insertion sort spells on one period of v^-1, then wrap letters
-s_{M-1}: O(M + l(v)) list steps.  Each pair takes one of three routes,
-which ``affine_product`` proves:
+Shifts, which have length 0, are factored out of the operands, and the two
+factors fold on one period of M-periodic permutations in the affine
+symmetric group, whose simple reflections s_0 ... s_{M-1} swap n, n + 1 in
+every period (s_{M-1} swaps M - 1 and M).  star(x, v) folds a reduced word
+s_j1 s_j2 ... of v into x from the right, swapping positions j, j + 1 only
+where the running result ascends; tll swaps only where it descends; tlr is
+the mirror tlr(x, v) = inverse(tll(inverse(v), inverse(x))) on the period
+arrays.  The word is what insertion sort spells on one period of v^-1,
+then wrap letters s_{M-1}: O(M + l(v)) list steps.  Each pair takes one of
+two routes, which ``affine_product`` proves:
 
 - finitary factor: the operand whose word is folded has period 1 (q for
   star and tll, p for tlr, either for star).  Its shift-0 factor moves
@@ -19,26 +18,23 @@ which ``affine_product`` proves:
   the mirror, its values at the points q^-1(W)) are relabelled by rank
   and folded on |W| entries, whatever that operand's period and tails,
   the other operand's period 1 included;
-- periodized: the other pairs whose operands both have equal tails (both
-  tails of each follow one globally periodic germ, as for every period-1
-  or globally periodic permutation and for star(aff, S_d)) fold on the lcm
-  K of the periods when both are globally periodic, and else on a
-  periodization around the windows, cut back to period K;
-- stitched: a pair with a mixed-tail operand closes each such operand at
-  each end into an equal-tail permutation, folds the left closures and
-  the right closures, and stitches the two results together between the
-  windows.
+- germs and a finitary middle: every other pair.  Far out on each side
+  the result is the product of the operands' germs (the affine
+  permutations their tails follow), folded on one period of the lcm K of
+  the periods; near the windows it is the product of the two operands
+  truncated to finitary permutations, one fold with no wrap letter.  Two
+  globally periodic operands are their own germs and take the germ fold
+  alone.
 
 Each fold certifies itself: the word has exactly l(v) letters, and the
 result's length is l(x) plus (star) or minus (tll) the letters kept, all
 lengths counted independently (the inversions of the period when it maps
 onto an interval, otherwise a sort and two inversion counts; for a
 finitary factor the inversions on W, which move as the whole length
-does).  A periodized result also shows the germ product at both ends of
-its cut, a stitched one has equal left and right folds on the windows, and
-every result passes ``from_window`` validation.  Size caps are checked
-before any folding.  The slipface grid engine (``demazure.grid_product``)
-is the reference.
+does).  The finitary middle also shows the germ products on its first and
+last periods, and every result passes ``from_window`` validation.  Size
+caps are checked before any folding.  The slipface grid engine
+(``demazure.grid_product``) is the reference.
 """
 
 from __future__ import annotations
@@ -49,31 +45,15 @@ from bisect import bisect
 from .errors import InternalInconsistency, ResourceLimit
 from .perm import Permutation, from_window, get_max_window, is_affine
 from .perm import _GRID_CELL_CAP, _check_window, _images, _inversions, _preimages
-from .perm import _period_inverse, _raw_diff_bound
+from .perm import _period_inverse
 
 __all__ = [
     "is_affine",
-    "has_equal_tails",
     "affine_product",
 ]
 
 # (period, lo, vals, add): n -> alpha(n) + add, alpha given by window fields
 _Factor = tuple[int, int, tuple[int, ...], int]
-
-
-def has_equal_tails(p: Permutation) -> bool:
-    """Whether both tails follow the same affine germ: the displacement
-    alpha(n) - n on the window's first period equals that on its last
-    period, residue by residue.  Globally periodic permutations have equal
-    tails, and so has every permutation of period 1: a bijection moves both
-    of its tails by -chi."""
-    k, v = p.period, p.vals
-    if k == 1:
-        return True
-    end = len(v) - k
-    # the entry of the last period in the residue class of j
-    last = (end + (j - end) % k for j in range(k))
-    return all(v[j] - j == v[i] - i for j, i in zip(range(k), last))
 
 
 def _values(f: _Factor, c: int, size: int) -> list[int]:
@@ -184,8 +164,8 @@ def _affine_fold(x: list[int], v: list[int], ascents: bool) -> list[int]:
             )
     length = _affine_length(v)
     # the insertion sort moves one slice entry per letter and the fold reads
-    # each letter once; on intervals, as for every finitary factor, this is
-    # the only bound of that work
+    # each letter once; on intervals, as for every finitary factor and
+    # middle, this is the only bound of that work
     if length > _GRID_CELL_CAP:
         raise ResourceLimit(
             f"affine fold word of {length} letters exceeds grid cap"
@@ -216,57 +196,36 @@ def _fold_kind(kind: str, x: list[int], v: list[int]) -> list[int]:
     return _affine_fold(x, v, ascents=kind == "star")
 
 
-def _margin(p: _Factor, q: _Factor, k: int) -> tuple[int, int]:
-    """(P, X) of ``affine_product`` for the factors p and q, K > 1."""
-    dp, dq = (max(abs(a + add - n) for n, a in enumerate(vals, lo))
-              for _, lo, vals, add in (p, q))
-    d, e = max(dp, dq), dp + dq
-    return -(-(3 * d + 2 * e) // k) + 1, 2 * d + e
-
-
-def _layout(k: int, fp: _Factor, fq: _Factor, bent: tuple[bool, bool]):
-    """(c, M, X) of ``affine_product`` for the factors fp, fq, of which
-    those flagged in bent are not globally periodic, K > 1."""
-    spans = [f for f, flag in zip((fp, fq), bent) if flag]
-    if not spans:
-        return 0, k, 0
-    lo = min([start + period for period, start, _, _ in spans])
-    hi = max([start + len(vals) - 1 - period for period, start, vals, _ in spans])
-    periods, cut = _margin(fp, fq, k)
-    return lo - periods * k, k * (-(-(hi - lo + 1) // k) + 2 * periods), cut
-
-
 def affine_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
     """star, tll or tlr (by ``kind``) of any two operands.
 
-    Each pair takes one of three routes:
+    Each pair takes one of two routes:
 
     - finitary factor: the operand whose word the fold reads has period 1
       (q for star and tll; p for tlr, and for star when q has not, by the
       mirrors below).  That operand folds on its own window, whatever the
-      other's period and tails (see "Finitary factor" after step 5);
-    - periodized: both operands have equal tails, and neither is such a
-      factor (tll with a period-1 left operand and tlr with a period-1
-      right operand have no such identity);
-    - stitched: the others, with a mixed-tail operand (see "Mixed tails"
-      at the end).
+      other's period and tails (see "Finitary factor" after step 6);
+    - germs and a finitary middle: the others, tll with a period-1 left
+      operand and tlr with a period-1 right one among them (they have no
+      such identity).  Two globally periodic operands fold on one period
+      [0, K) as they are, K the lcm of the periods.
 
-    With T_chi: n -> n - chi, p = T_u p' and q = q' T_w for a frame (u, w):
-    (chi_p, chi_q), in which the factors p', q' have shift 0, or (0, 0),
-    whichever gives the smaller M below (a tie the second), so M never
-    exceeds its size for p and q themselves.  Let A_p, A_q be the factors'
-    germs, K > 1 the lcm of the periods, and W = [lo, hi] span the windows,
-    less their first and last periods, of the factors that are not globally
-    periodic; each factor equals its germ off W.  Globally periodic pairs
-    have no W and fold one period [0, K) as is.  Otherwise, with d_p, d_q
-    the diff bounds of the factors, d = max(d_p, d_q), e = d_p + d_q, B = d
-    + e, X = 2d + e and P = ceil((B + X) / K) + 1, the fold runs on one
-    period of the M-periodic p^, q^ equal to p', q' on [c, c + M), c = lo -
-    P K, M = K (ceil((hi - lo + 1) / K) + 2P); their values on [c, c + M) are a
-    complete residue system mod M, since p' carries W onto A_p(W).  The
-    result is cut to [c + X, c + M - 1 - X] with period K.  Why that is
-    r' = kind(p', q'), with s_f(a, b) = #{n >= b : f(n) < a} and t_f(a, b)
-    = #{n < b : f(n) >= a} = s_f(a, b) - a + b - chi_f:
+    With T_chi: n -> n - chi, p = T_u p' and q = q' T_w for u = chi_p and w
+    = chi_q: the factors p'(n) = p(n) + u and q'(n) = q(n + w) have shift
+    0.  Let d_p, d_q be their diff bounds, d = max(d_p, d_q), e = d_p + d_q,
+    B = d + e, X = B + K (``_germ_margin``), and [lo, hi] span the windows
+    of the factors that are not globally periodic; a globally periodic one
+    equals its germ everywhere.  A factor f has the left germ A_f (the
+    window's first period repeated) and the right germ A'_f (its last);
+    G = kind(A_p', A_q') and G' = kind(A'_p', A'_q') fold on one period [0,
+    K) of the germs, once when both pairs coincide.  The truncation f_T of
+    a factor f is f on [x0, x1] = [lo - X - B, hi + X + B], the identity
+    off [y0, y1] = [x0 - d - 1, x1 + d + 1], and on the gaps between, in
+    increasing order, the integers that neither part takes, the smallest
+    d + 1 on the left.  The middle kind(p'_T, q'_T) folds on the M = y1 -
+    y0 + 1 entries of [y0, y1], and r' = kind(p', q') is the middle on [lo
+    - X, hi + X] read with period K.  Why, with s_f(a, b) = #{n >= b : f(n)
+    < a} and t_f(a, b) = #{n < b : f(n) >= a} = s_f(a, b) - a + b - chi_f:
 
     0. s_{T_chi f}(a, b) = s_f(a + chi, b) and s_{f T_chi}(a, b) = s_f(a,
        b - chi), and t likewise, so each optimum in 1 commutes with the
@@ -280,22 +239,52 @@ def affine_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
        0 below L = [min(a - d_p, b - d_q), max(a + d_p, b + d_q)] and by
        +1, 0, 0 above it, so the optimum is attained on L.
     2. Every result has diff_bound <= e: bounding the two counts on L gives
-       s_r(a, b) = 0 for a <= b - e and t_r(a, b) = 0 for a >= b + e.
-    3. s_p^(a, l) = s_p(a, l) when l >= c and a <= c + M - d_p (the points
-       n >= c + M are >= a under both), s_q^(l, b) = s_q(l, b) when b >= c
-       and l <= c + M - d_q, and chi and the diff bounds do not grow, so
-       by 1 the slipfaces of r^ and r agree for a, b in [c + 2d,
-       c + M - 2d], and by 2 (r(n) = a exactly when the mixed difference of
-       s_r at (a, n) is 1) r^(n) = r(n) on [c + X, c + M - 1 - X].
-    4. p and A_p agree off W and carry W onto the same set, so s_p(a, l) =
-       s_A_p(a, l) for l outside (lo, hi], and likewise for q.  By 1 the
-       slipfaces of r and G = kind(A_p, A_q) agree for a, b >= hi + d + 1
-       and for a, b <= lo - d, and by 2 r = G off [lo - B, hi + B].
-    5. c + X + K <= lo - B and c + M - X - K >= hi + 1 + B, so the cut's
-       first and last K entries follow G and the tail rule continues them.
+       s_r(a, b) = 0 for a <= b - e and t_r(a, b) = 0 for a >= b + e.  So
+       r(n) is the a in [n - e, n + e] at which the mixed difference of s_r
+       at (a, n) is 1, which reads the rows a, a + 1 and the columns n, n + 1.
+    3. Germs.  Each factor equals its left germ on (-inf, lo]: a globally
+       periodic one everywhere, another up to the end of its window's
+       first period, which lo precedes.  The germs have the factors' shift
+       0, the flow across a cut deep in a tail, and diff bounds at most
+       the factors' (their displacements are the factors' on a period).
+       t_f(a, l) reads f only on (-inf, l), so the counts of p and A_p
+       agree for l <= lo + 1, and those of q and A_q for b <= lo + 1.  By
+       1 both optima are attained at some l <= lo + 1 when a, b <= lo + 1
+       - d, and by 2 r = G on (-inf, lo - B].  Mirrored (s_f(a, l) reads f
+       only on [l, inf)), r = G' on [hi + B, inf).
+    4. Truncations.  f carries [x0, x1] into [x0 - d, x1 + d], and takes
+       there every integer of [x0 + d, x1 - d].  Of [y0, x0 - 1] it takes
+       there the values f(n) < x0 of the n >= x0, t of them; with shift 0
+       as many n < x0 have f(n) >= x0, and their values, at most x0 + d -
+       1, are the integers of [x0, x0 + d - 1] it does not take there.  So
+       d + 1 integers of [y0, x0 + d - 1] fill the left gap and, mirrored,
+       d + 1 of [x1 - d + 1, y1] the right one: f_T permutes [y0, y1] with
+       shift 0, its left gap values move by 0 to d, its right ones by -d
+       to 0, and its diff bound is at most d_f.  It is f closed at each
+       end by the shift n -> n - chi_f, whose diff bound is 0.
+    5. Middle.  For a in [x0 + d, x1 - d + 1] the counts s_p(a, l) and
+       s_{p_T}(a, l) agree for every l: if l >= x0, the points n > x1 of
+       both map to at least x1 - d + 1 >= a, and p = p_T on [l, x1]; if l <
+       x0, the points n < l of both map below x0 + d <= a, so t = 0 for
+       both.  For b in [x0, x1 + 1] the counts s_q(l, b) and s_{q_T}(l, b)
+       agree for every l: the points of [b, x1] agree, and #{n > x1 : g(n)
+       < l} is 0 for both g when l <= x1 - d + 1, and else l - x1 - 1 +
+       #{n in [x0, x1] : g(n) >= l}, the flow of a shift-0 g across x1 + 1
+       (the points n < x0 of both map below l).  So every term of each
+       optimum in 1 agrees for such a and b, and by 2, which holds for the
+       truncations too, r = kind(p_T, q_T) on [x0 + B, x1 - B] = [lo - X,
+       hi + X].
+    6. X >= B + K, so the first and last K entries of [lo - X, hi + X] lie
+       in (-inf, lo - B] and [hi + B, inf), follow G and G', whose periods
+       divide K, and the tail rule continues them.  They are checked
+       against G and G' before the result goes to ``from_window``.
 
-    Before the cut goes to ``from_window``, its first and last K entries
-    are checked against G, folded on one period of the germs.
+    p_T and q_T lie in the symmetric group of [y0, y1], a parabolic
+    subgroup whose reduced words are reduced in the whole group
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 8), so their
+    values less y0 fold as one period of M entries, as a finitary factor
+    does.  The truncated window is checked against the window cap before
+    it is built, and each fold checks its own sizes.
 
     Finitary factor.  By step 0, and by the mirrors tlr(p, q) =
     inverse(tll(q^-1, p^-1)) and star(p, q) = inverse(star(q^-1, p^-1))
@@ -305,8 +294,7 @@ def affine_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
     (y = p), p'^-1 for tlr and star (y = q^-1).  f moves only the integers
     of an interval W = [a, b], which it permutes.  So f lies in the
     parabolic subgroup S_W generated by the s_j with j, j + 1 in W, whose
-    reduced words are reduced in the whole group (Bjorner-Brenti,
-    Combinatorics of Coxeter Groups, ch. 8), and ``_affine_word`` on W
+    reduced words are reduced in the whole group, and ``_affine_word`` on W
     spells one with l(f) letters and no wrap letter.  Folding a letter s_j
     compares and swaps y(j) and y(j + 1) alone, so the fold leaves y off W
     as it is, rearranges its values on W, and reads only their relative
@@ -330,61 +318,12 @@ def affine_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
     says that every kept letter raised (lowered) the length of y by one,
     as a fold of a reduced word must.  The result then passes
     ``from_window`` and the chi additivity check of ``demazure._product``.
-
-    Mixed tails.  Let d_p, d_q be the diff bounds of p and q themselves,
-    e = d_p + d_q, [lo, hi] span both windows, g+ (g-) the largest diff
-    bound of the operands' right (left) germs, which are their
-    displacements right of hi (left of lo), X_L = e + g+ and X_R = e + g-
-    (``_stitch_margins``), x = hi + X_L and x' = lo - X_R.  Each mixed-tail
-    operand f with left germ A (its first period repeated) has the left
-    closure f_L: f on (-inf, x], A on [y, inf) with y = x + d_f + d_A + 2,
-    and in increasing order on (x, y) the integers neither part takes.
-    Its right closure f_R is the mirror: under rho(n) = -1 - n, f_R = rho
-    (rho f rho)_L rho with the cut -1 - x', which is the right germ on
-    (-inf, y'] and f on [x', inf).  An operand with equal tails is its own
-    closure on both sides.  Then kind(p, q) is r_L = kind(p_L, q_L) on
-    (-inf, hi] and r_R = kind(p_R, q_R) on (hi, inf), since:
-
-    S1. f_L is a permutation with equal tails, shift chi_f and diff bound
-        <= d_f, and it takes on (x, inf) the integers f takes there.  A
-        germ has the shift of f: the flow across a cut deep in either tail
-        is chi_f.  f((-inf, x]) lies below a = x + d_f + 1 and A([y, inf))
-        above it, and t_f(a, x + 1) = 0 = s_A(a, y), so with s - t = a - b
-        + chi the integers below a that f misses on (-inf, x] number a - x
-        - 1 + chi_f, those from a on that A misses on [y, inf) number y - a
-        - chi_f: y - x - 1 together, the length of (x, y).  They lie in
-        [x + 1 - d_f, y - 1 + d_A], so placed in order on (x, y) they move
-        by at most max(d_f, d_A) = d_f (A's displacements are f's on its
-        first period).
-    S2. t_f(a, l) = #{n < l : f(n) >= a} reads f only on (-inf, l), and
-        s_f(a, l) = t_f(a, l) + a - l + chi_f, so the counts of p_L and p
-        agree for l <= x + 1, and those of q_L and q for b <= x + 1.  Let
-        a, b <= x + 1 - g+.  For l > x, p(l) >= l - g+ >= a, and so p_L(l)
-        >= a by S1; and q^-1(l) >= b, because q(n) <= x for n < b (for n <=
-        hi, q(n) <= hi + d_q <= x; beyond, q(n) <= n + g+ <= x), and the
-        same holds for q_L, which is q on (-inf, x].  So from l = x + 1 on
-        the steps of step 1 are +1 (star), 0 (tll) and 0 (tlr): for both
-        pairs each optimum is attained at some l <= x + 1, where their
-        terms agree, and s_r(a, b) = s_{r_L}(a, b).
-    S3. By step 2, r(n) lies in [n - e, n + e], and r(n) = a exactly when
-        the mixed difference of s_r at (a, n) is 1, which reads the cells
-        (a or a + 1, n or n + 1): all in S2's region once n <= x - g+ - e
-        = hi.  So r = r_L on (-inf, hi].  Mirrored (s_f(a, l) reads f only
-        on [l, inf), and t_f = s_f - a + l - chi_f), r = r_R on [lo, inf).
-    S4. So both folds are right on [lo, hi], which is checked before the
-        stitch: r_L and r_R must agree there.
-
-    The closed windows are checked against the window cap before they are
-    built, and the folds of the closures check their own sizes.
     """
     if q.period == 1 and kind != "tlr":
         return _right_factor_product(kind, p, q)
     if p.period == 1 and kind != "tll":
         return _left_factor_product(kind, p, q)
-    equal = has_equal_tails(p), has_equal_tails(q)
-    if all(equal):
-        return _equal_tail_product(kind, p, q)
-    return _stitched_product(kind, p, q, equal)
+    return _germ_product(kind, p, q)
 
 
 def _moved(f: Permutation, offset: int = 0) -> tuple[int, int] | None:
@@ -447,98 +386,63 @@ def _left_factor_product(kind: str, p: Permutation, q: Permutation) -> Permutati
     return from_window(k, lo, [t - u for t in vals])
 
 
-def _equal_tail_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
-    """``affine_product`` of two operands with equal tails."""
+def _germ_margin(b: int, k: int) -> int:
+    """X of ``affine_product``: how far past [lo, hi] the middle is read."""
+    return b + k
+
+
+def _truncated(f: _Factor, x0: int, x1: int, d: int) -> list[int]:
+    """f_T of ``affine_product`` on [y0, y1] = [x0 - d - 1, x1 + d + 1], less
+    y0: f on [x0, x1], and on each gap the d + 1 integers of its side that
+    f does not take there, in increasing order.  Those of the left gap lie
+    in [y0, x0 + d - 1], which f takes only at the first 2d points; the
+    right gap mirrors it."""
+    period, lo, vals, add = f
+    y0 = x0 - d - 1
+    mid = [v + add - y0 for v in _images(period, lo, vals, x0, x1)]
+    size = len(mid) + 2 * d + 2
+    head, tail = set(mid[: 2 * d]), set(mid[len(mid) - 2 * d :])
+    left = [v for v in range(2 * d + 1) if v not in head]
+    right = [v for v in range(size - 2 * d - 1, size) if v not in tail]
+    return left + mid + right
+
+
+def _germ_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
+    """``affine_product`` by germ folds and a finitary middle."""
     k = math.lcm(p.period, q.period)
-    bent = (not is_affine(p), not is_affine(q))
-    # the factors p'(n) = p(n) + u and q'(n) = q(n + w) of each frame (u, w)
-    options = []
-    for u, w in ((0, 0), (p.chi, q.chi)):
-        fp, fq = (p.period, p.lo, p.vals, u), (q.period, q.lo - w, q.vals, 0)
-        options.append((_layout(k, fp, fq, bent), fp, fq, u, w))
-    (c, size, cut), fp, fq, u, w = min(options, key=lambda o: o[0][1])
-    if size > (cap := get_max_window()):
-        raise ResourceLimit(f"affine period {size} exceeds window cap {cap}")
-    r = _fold_kind(kind, _values(fp, c, size), _values(fq, c, size))
-    if any(bent):
-        # the germs: each factor's first period repeated, on [0, K)
-        germs = [_values((t, lo, v[:t], add), 0, k) for t, lo, v, add in (fp, fq)]
-        g = _fold_kind(kind, *germs)
-        for i in (*range(cut, cut + k), *range(size - cut - k, size - cut)):
-            n = c + i
-            if r[i] + c != g[n % k] + n - n % k:
-                raise InternalInconsistency(
-                    f"periodized {kind} of {p!r} and {q!r} leaves the germ "
-                    f"product at {n}"
-                )
-    return from_window(k, c + cut + w, [a + c - u for a in r[cut : size - cut]])
-
-
-def _germ_bounds(f: Permutation) -> tuple[int, int]:
-    """The diff bounds of f's left and right germs: its largest
-    displacements left and right of its window."""
-    k, w = f.period, len(f.vals)
-    return (_raw_diff_bound(k, f.lo, f.vals[:k]),
-            _raw_diff_bound(k, f.lo + w - k, f.vals[w - k :]))
-
-
-def _stitch_margins(p: Permutation, q: Permutation) -> tuple[int, int]:
-    """(X_L, X_R) of ``affine_product``'s mixed-tail case."""
-    e = p.diff_bound + q.diff_bound
-    (pl, pr), (ql, qr) = _germ_bounds(p), _germ_bounds(q)
-    return e + max(pr, qr), e + max(pl, ql)
-
-
-def _reversed(p: Permutation) -> Permutation:
-    """rho p rho with rho(n) = -1 - n: p read backwards, its right tail on
-    the left."""
-    return from_window(p.period, -1 - p.hi, [-1 - v for v in reversed(p.vals)])
-
-
-def _close_left(p: Permutation, x: int) -> Permutation:
-    """p on (-inf, x], its left germ A from y = x + d_p + d_A + 2 on, and the
-    integers neither takes in increasing order between (S1 of
-    ``affine_product``)."""
-    k, lo, vals = p.period, p.lo, p.vals
-    d, da = p.diff_bound, _germ_bounds(p)[0]
-    a, y = x + d + 1, x + d + da + 2
-    start = min(lo, x - k + 1)
-    if (size := y + k - start) > (cap := get_max_window()):
-        raise ResourceLimit(f"closed window of {size} entries exceeds cap {cap}")
-    # the integers below a come from p on (x, x + 2d], those from a on
-    # from A on [a - d_A, y)
-    head = _images(k, lo, vals, start, x + 2 * d)
-    germ = _images(k, lo, vals[:k], a - da, y + k - 1)
-    cut = y - (a - da)
-    gap = [v for v in head[x + 1 - start :] if v < a]
-    gap += [v for v in germ[:cut] if v >= a]
-    gap.sort()
-    return from_window(k, start, head[: x + 1 - start] + gap + germ[cut:])
-
-
-def _stitched_product(
-    kind: str, p: Permutation, q: Permutation, equal: tuple[bool, bool]
-) -> Permutation:
-    """``affine_product`` of a pair with a mixed-tail operand: r_L up to hi
-    and r_R after it, checked to agree on [lo, hi]."""
-    lo, hi = min(p.lo, q.lo), max(p.hi, q.hi)
-    margin_l, margin_r = _stitch_margins(p, q)
-    x, x_ = hi + margin_l, lo - margin_r
-    (pl, pr), (ql, qr) = (
-        (f, f) if eq
-        else (_close_left(f, x), _reversed(_close_left(_reversed(f), -1 - x_)))
-        for f, eq in zip((p, q), equal)
-    )
-    rl, rr = _equal_tail_product(kind, pl, ql), _equal_tail_product(kind, pr, qr)
-    left, right = (_images(r.period, r.lo, r.vals, lo, hi) for r in (rl, rr))
-    if left != right:
-        i = next(i for i, (u, v) in enumerate(zip(left, right)) if u != v)
-        raise InternalInconsistency(
-            f"stitched {kind} of {p!r} and {q!r}: the left and right folds "
-            f"differ at {lo + i} ({left[i]} against {right[i]})"
-        )
-    k = math.lcm(p.period, q.period)
-    w0, w1 = min(rl.lo, hi + 1) - k, max(rr.hi, hi) + k
-    vals = _images(rl.period, rl.lo, rl.vals, w0, hi)
-    vals += _images(rr.period, rr.lo, rr.vals, hi + 1, w1)
-    return from_window(k, w0, vals)
+    if k > (cap := get_max_window()):
+        raise ResourceLimit(f"affine period {k} exceeds window cap {cap}")
+    u, w = p.chi, q.chi
+    # the windows of the factors p'(n) = p(n) + u and q'(n) = q(n + w)
+    bent = [(f.lo - s, f.hi - s) for f, s in ((p, 0), (q, w)) if not is_affine(f)]
+    if not bent:
+        x, v = (_images(f.period, f.lo, f.vals, 0, k - 1) for f in (p, q))
+        return from_window(k, 0, _fold_kind(kind, x, v))
+    fp, fq = (p.period, p.lo, p.vals, u), (q.period, q.lo - w, q.vals, 0)
+    dp, dq = (max(abs(a + add - n) for n, a in enumerate(vals, lo))
+              for _, lo, vals, add in (fp, fq))
+    d = max(dp, dq)
+    b = d + dp + dq
+    lo, hi = min(a for a, _ in bent), max(z for _, z in bent)
+    x = _germ_margin(b, k)
+    x0, x1 = lo - x - b, hi + x + b
+    _check_window("truncated window", x1 - x0 + 2 * d + 3)
+    # the germs, each factor's first and last period repeated, on [0, K)
+    left = [_values((t, s, v[:t], a), 0, k) for t, s, v, a in (fp, fq)]
+    right = [
+        _values((t, s + len(v) - t, v[len(v) - t :], a), 0, k) for t, s, v, a in (fp, fq)
+    ]
+    g_left = _fold_kind(kind, *left)
+    g_right = g_left if right == left else _fold_kind(kind, *right)
+    mid = _fold_kind(kind, _truncated(fp, x0, x1, d), _truncated(fq, x0, x1, d))
+    # [lo - X, hi + X] less y0 = x0 - d - 1
+    y0, i = x0 - d - 1, b + d + 1
+    out = mid[i : len(mid) - i]
+    c = lo - x
+    for j in (*range(k), *range(len(out) - k, len(out))):
+        n, g = c + j, g_left if j < k else g_right
+        if out[j] + y0 != g[n % k] + n - n % k:
+            raise InternalInconsistency(
+                f"{kind} of {p!r} and {q!r} leaves the germ product at {n + w}"
+            )
+    return from_window(k, c + w, [a + y0 - u for a in out])

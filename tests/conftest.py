@@ -4,11 +4,9 @@ The "zoo" samplers below draw from the families the library is built
 around: finite symmetric-group embeddings, pure shifts, periodic affine
 permutations of modulus 2 and 3, two-block permutations, and greedy
 products thereof.  All of them have equal tails (both tails follow one
-affine germ); ``mixed_tails`` draws permutations whose tails differ.  Every
-sampler takes an explicit random.Random so each
-test is deterministic under its own seed.  ``periodized_or_stitched`` is the
-reference fold for pairs with a period-1 operand: the route they took
-before the finitary factor.
+affine germ, ``has_equal_tails``); ``mixed_tails`` draws permutations whose
+tails differ.  Every sampler takes an explicit random.Random so each test
+is deterministic under its own seed.
 """
 
 import itertools
@@ -18,7 +16,6 @@ import pytest
 
 from demaz import (
     compose,
-    finitary,
     from_window,
     inverse,
     make_affine,
@@ -57,6 +54,21 @@ def pytest_collection_modifyitems(config, items):
 @pytest.fixture
 def rng():
     return random.Random(0xD380AC)
+
+
+def has_equal_tails(p):
+    """Whether both tails follow the same affine germ: the displacement
+    alpha(n) - n on the window's first period equals that on its last
+    period, residue by residue.  Globally periodic permutations have equal
+    tails, and so has every permutation of period 1: a bijection moves both
+    of its tails by -chi."""
+    k, v = p.period, p.vals
+    if k == 1:
+        return True
+    end = len(v) - k
+    # the entry of the last period in the residue class of j
+    last = (end + (j - end) % k for j in range(k))
+    return all(v[j] - j == v[i] - i for j, i in zip(range(k), last))
 
 
 def sd_lines(d):
@@ -195,13 +207,3 @@ def rand_sigma_fin(rng):
 def translated(p, off):
     """n -> p(n - off) + off: p with its window moved by off."""
     return compose(make_shift(-off), compose(p, make_shift(off)))
-
-
-def periodized_or_stitched(kind, p, q):
-    """kind(p, q) by the fold a pair takes when neither operand is a
-    finitary factor: the periodization for operands with equal tails, else
-    the stitch.  The two operands must not both have period 1."""
-    equal = finitary.has_equal_tails(p), finitary.has_equal_tails(q)
-    if all(equal):
-        return finitary._equal_tail_product(kind, p, q)
-    return finitary._stitched_product(kind, p, q, equal)

@@ -3,28 +3,26 @@
 Every product has two implementations: the affine word fold of
 demaz.finitary, which star/tll/tlr use, and the slipface grid engine
 (``grid_product``), which serves every pair as the reference.  Both must
-give the same permutations.  For operands with equal tails the fold runs on
-one period: the folded operand's own window when it has period 1, the lcm
-of the periods for globally periodic pairs, a periodization around the
-windows otherwise; a pair with a mixed-tail operand folds the operands
-closed at each end and stitches the two results.  Period-1 pairs are tested
-on random S_d, against the extremal oracles, with large shifts on either
-side, windows far from 0 and unequal two-block shuffles; Bruhat comparison
-of the same pairs, which reads rank tables on the left side's window, must
-give the grid comparison's verdict and witness cell.  Periodic pairs are
-tested on coprime periods, large shifts, large diff bounds, windows far
-from 0 and shifted operands in both frames of the shift factoring, with a
-spy on the period size.  Mixed-tail pairs are tested with each other, with
-zoo members and affines, inverted and shifted, and on S_d middles over
-period-2 and period-3 germs; an associativity test mixes them with
-equal-tail operands.  A period-1 word operand (a finitary factor) folds on
-its own window: zoo members, mixed-tail operands, S_40 and affines of
-periods 2, 3, 5 and 7 against shifted S_d, and windows near +-10^4 with
-|chi| up to 50, must give the grid's result and that of the periodized or
-stitched fold called directly, and a spy checks which pairs skip those
-folds.  The word generator is checked on its own: its letters rebuild the
-inverse, each is a descent, and wrap letters occur exactly off the
-symmetric-group case.
+give the same permutations.  A period-1 word operand (a finitary factor)
+folds on its own window; every other pair folds the germ products on one
+period of the lcm of the periods and the operands, truncated around their
+windows, as one finitary middle; two globally periodic operands take the
+germ fold alone.  Period-1 pairs are tested on random S_d, against the
+extremal oracles, with large shifts on either side, windows far from 0
+and unequal two-block shuffles; Bruhat comparison of the same pairs, which
+reads rank tables on the left side's window, must give the grid
+comparison's verdict and witness cell.  Periodic pairs are tested on
+coprime periods, large shifts, large diff bounds, windows far from 0 and
+shifted operands, with a spy on the fold sizes.  Mixed-tail pairs are
+tested with each other, with zoo members and affines, inverted and
+shifted, and on S_d middles over period-2 and period-3 germs; an
+associativity test mixes them with equal-tail operands.  Finitary factors
+(zoo members, mixed-tail operands, S_40 and affines of periods 2, 3, 5 and
+7 against shifted S_d, and windows near +-10^4 with |chi| up to 50) must
+give the grid's result, and a spy checks that they skip the germ folds.
+The certificates and size caps are made to fire.  The word generator is
+checked on its own: its letters rebuild the inverse, each is a descent,
+and wrap letters occur exactly off the symmetric-group case.
 """
 
 import random
@@ -33,8 +31,8 @@ import sys
 import pytest
 
 from conftest import (
+    has_equal_tails,
     mixed_tails,
-    periodized_or_stitched,
     rand_affine,
     rand_line,
     sym,
@@ -453,14 +451,14 @@ def test_has_equal_tails_classifies_the_operands(rng):
     a = rand_affine(rng, 3, 1)
     s = sym(rng, 4)
     bent = star(a, s)  # equal tails, but not globally periodic
-    assert finitary.has_equal_tails(bent) and not finitary.is_affine(bent)
+    assert has_equal_tails(bent) and not finitary.is_affine(bent)
     for p in (a, s, bent, make_shift(3), make_gamma(2, 1), compose(s, a)):
-        assert finitary.has_equal_tails(p), p
+        assert has_equal_tails(p), p
     mixed = from_window(2, -2, [-2, -1, 1, 0])
-    assert not finitary.has_equal_tails(mixed)
+    assert not has_equal_tails(mixed)
     for _ in range(20):
         m = mixed_tails(rng)
-        assert not finitary.has_equal_tails(m), m
+        assert not has_equal_tails(m), m
         # the germs: its first and last periods repeated
         k = m.period
         left = from_window(k, m.lo, m.vals[:k])
@@ -470,7 +468,8 @@ def test_has_equal_tails_classifies_the_operands(rng):
 
 
 # ---------------------------------------------------------------------------
-# periodized fold: operands with equal tails, not both globally periodic
+# germs and a finitary middle: operands with equal tails, not both globally
+# periodic
 
 
 def equal_tail_pool(rng):
@@ -557,11 +556,12 @@ def test_periodized_period_ignores_the_shifts(monkeypatch):
         for fast in FAST.values():
             sizes.clear()
             fast(p, a)
-            # the first fold is the M-period, the second the germs
-            assert sizes == [sizes[0], 3] and sizes[0] > 3, (chi, sizes)
+            # the first fold is the germs (equal tails: one pair), the
+            # second the finitary middle
+            assert sizes == [3, sizes[1]] and sizes[1] > 3, (chi, sizes)
             if chi == 0:
-                m0 = sizes[0]
-            assert sizes[0] == m0, (chi, sizes, m0)
+                m0 = sizes[1]
+            assert sizes[1] == m0, (chi, sizes, m0)
 
 
 @pytest.mark.parametrize("chi", SHIFTED_LEFT)
@@ -590,7 +590,7 @@ def test_counter_shifted_pairs_agree_with_grid(chi):
     assert_affine_agree(*counter_shifted_pair(chi))
 
 
-def test_factoring_the_shifts_never_grows_the_period(monkeypatch):
+def test_counter_shifted_pairs_fold_their_shift_0_factor(monkeypatch):
     sizes = []
     fold = finitary._fold_kind
 
@@ -599,22 +599,23 @@ def test_factoring_the_shifts_never_grows_the_period(monkeypatch):
         return fold(kind, x, v)
 
     monkeypatch.setattr(finitary, "_fold_kind", spy)
-    # the shift-0 factors would need M = 6648, past the affine fold's work
-    # cap; the operands as they are need M = 3678
+    # the shift-0 factor w has about twice the diff bound of p: both fold
+    # the germs on 3 entries and w's truncation on 6656
     p, a = counter_shifted_pair(300)
-    as_is = (p.period, p.lo, p.vals, 0), (a.period, a.lo, a.vals, 0)
-    factored = (p.period, p.lo, p.vals, p.chi), (a.period, a.lo, a.vals, 0)
-    assert finitary._layout(3, *as_is, (True, False))[1] == 3678
-    assert finitary._layout(3, *factored, (True, False))[1] == 6648
+    w = compose(make_shift(-300), p)
+    assert (p.diff_bound, w.diff_bound) == (305, 602)
     for fast in FAST.values():
         sizes.clear()
-        fast(p, a)
-        assert sizes == [3678, 3], sizes
+        r = fast(w, a)
+        assert sizes == [3, 6656], sizes
+        assert fast(p, a) == compose(make_shift(300), r)
+    # the certificate of reduce holds for the product of w
+    reduce(w, a, star(w, a))
 
 
 def test_associativity_across_engines(rng):
-    # mixed-tail operands take the stitch, equal-tail ones a single fold, so
-    # each kind of product feeds the other
+    # mixed-tail operands fold two germ pairs, equal-tail ones one, so each
+    # kind of product feeds the other
     equal = [rand_affine(rng, 2, 1), star(rand_affine(rng, 3, 1), sym(rng, 3))]
     equal += [sym(rng, 3, -1), make_gamma(1, 2)]
     for _ in range(8):
@@ -645,39 +646,45 @@ def test_products_of_a_zoo_pass_build_no_grid(rng, monkeypatch):
     assert "grid_product" in calls and "sf_from_perm" in calls
 
 
-def test_periodized_certificates_fire(rng, monkeypatch):
-    p = make_sigma_set(ResidueClass(0, 5))
-    q = star(make_sigma_set(ResidueClass(1, 7)), sym(rng, 3, -1))
-    right = star(p, q)
-    margin = finitary._margin
-    # one period less margin brings the windows into the cut's end periods
-    monkeypatch.setattr(
-        finitary, "_margin", lambda *a: (margin(*a)[0] - 1, margin(*a)[1])
+def test_germ_certificates_fire(rng, monkeypatch):
+    # the margin is proven, not tight: with X = B + K the first and last K
+    # entries of the middle follow the germ products; read from the windows
+    # themselves (X = 0), these pairs leave them
+    five_seven = (
+        make_sigma_set(ResidueClass(0, 5)),
+        star(make_sigma_set(ResidueClass(1, 7)), sym(rng, 3, -1)),
     )
-    with pytest.raises(InternalInconsistency, match="leaves the germ product"):
-        star(p, q)
-    monkeypatch.setattr(finitary, "_margin", margin)
+    mixed = from_window(2, 2, [2, 3, 5, 4]), make_affine([-1, 2], 2)
+    right = [star(*pair) for pair in (five_seven, mixed)]
+    monkeypatch.setattr(finitary, "_germ_margin", lambda b, k: 0)
+    for p, q in (five_seven, mixed):
+        with pytest.raises(InternalInconsistency, match="leaves the germ product at"):
+            star(p, q)
+    monkeypatch.undo()
     word = finitary._affine_word
     monkeypatch.setattr(finitary, "_affine_word", lambda u, n: word(u, n)[:-1])
     with pytest.raises(InternalInconsistency, match="letters, the operand"):
-        star(p, q)
-    monkeypatch.setattr(finitary, "_affine_word", word)
-    assert star(p, q) == right
+        star(*five_seven)
+    monkeypatch.undo()
+    assert [star(*pair) for pair in (five_seven, mixed)] == right
+    assert right[1] == grid_product("star", *mixed)
 
 
 def test_periodized_size_caps_apply_before_folding(rng, monkeypatch):
     def no_fold(*args):
         raise AssertionError("folded past the size cap")
 
-    # lcm 35 and 3 periods of margin: M = 35 (1 + 2 * 3)
+    # the germs fold on the lcm 35 of the periods, capped and folded before
+    # the finitary middle
     p, q = star(rand_affine(rng, 7, 1), sym(rng, 4)), rand_affine(rng, 5, 1)
     monkeypatch.setattr(finitary, "_affine_word", no_fold)
-    monkeypatch.setattr(perm, "_max_window", 200)
-    with pytest.raises(ResourceLimit, match="affine period 245 exceeds window cap"):
-        star(p, q)
+    monkeypatch.setattr(perm, "_max_window", 30)
+    for fast in FAST.values():
+        with pytest.raises(ResourceLimit, match="affine period 35 exceeds window cap 30"):
+            fast(p, q)
     monkeypatch.setattr(perm, "_max_window", perm.DEFAULT_MAX_WINDOW)
-    monkeypatch.setattr(finitary, "_GRID_CELL_CAP", 245 * 245 - 1)
-    with pytest.raises(ResourceLimit, match="affine fold of period 245"):
+    monkeypatch.setattr(finitary, "_GRID_CELL_CAP", 35 * 35 - 1)
+    with pytest.raises(ResourceLimit, match="affine fold of period 35"):
         tlr(p, q)
 
 
@@ -698,7 +705,7 @@ def test_affine_fold_checks_both_operands_before_numpy(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# stitched fold: a mixed-tail operand
+# germs and a finitary middle: a mixed-tail operand, whose germs differ
 
 
 def assert_grid_agree(p, q):
@@ -737,7 +744,7 @@ def test_sd_middles_over_periodic_germs_agree_with_grid(m):
     rng = random.Random(m.period)
     s, t = sym(rng, 40, -3), sym(rng, 40)
     p = compose(m, s)
-    assert not finitary.has_equal_tails(p)
+    assert not has_equal_tails(p)
     assert_grid_agree(p, t)
     assert_grid_agree(inverse(t), compose(make_shift(3), inverse(p)))
     s = sym(rng, 80)
@@ -766,38 +773,112 @@ def test_mixed_tail_window_2000_builds_no_grid(monkeypatch):
     m, s = MIXED_GERMS[0], sym(rng, 2000)
     r = star(compose(m, s), s)
     # its tails are the germ products: m's germs against the identity
-    assert r.period == 2 and r.chi == 0 and not finitary.has_equal_tails(r)
+    assert r.period == 2 and r.chi == 0 and not has_equal_tails(r)
     assert r.vals[:2] == (r.lo, r.lo + 1)
 
 
-def test_stitch_certificate_fires(monkeypatch):
-    # the margins are proven, not tight: the closures agree with the
-    # operands a little past their cuts, so on this pair (margins 3 and 3)
-    # the folds stay right with two less on each side and differ with three;
-    # a period-1 right operand would take the finitary factor, not the stitch
-    p, q = from_window(2, 2, [2, 3, 5, 4]), make_affine([-1, 2], 2)
-    right = star(p, q)
-    margins = finitary._stitch_margins
-    monkeypatch.setattr(
-        finitary, "_stitch_margins", lambda p, q: [x - 3 for x in margins(p, q)]
-    )
-    with pytest.raises(InternalInconsistency, match=r"left and right folds differ at"):
-        star(p, q)
-    monkeypatch.setattr(finitary, "_stitch_margins", margins)
-    assert star(p, q) == right == grid_product("star", p, q)
+def test_globally_periodic_operands_add_no_window():
+    # the identity's canonical window sits at 0 and m's near 10^4: only m's
+    # is truncated, and shift(2) in the identity's place answers alike
+    m = parse_perm("ep(k=3, lo=9997; 9997 9998 9999 10001 10002 10000)")
+    e = make_shift(0)
+    assert tll(e, m) == tlr(m, e) == from_window(1, 0, [0])
+    for a in (e, make_shift(2), make_affine([-1, 2], 2)):
+        assert_grid_agree(a, m)
+        assert_grid_agree(m, a)
+
+
+def affine_over_sym(n):
+    """compose(aff(2; 1 0), s) and compose(aff(3; 2 0 1), s) for a random
+    s in S_n: middles of periods 2 and 3 over one window of n entries."""
+    s = sym(random.Random(n), n)
+    return compose(make_affine([1, 0], 2), s), compose(make_affine([2, 0, 1], 3), s)
+
+
+def test_affine_over_sym_middles_agree_with_grid():
+    assert_grid_agree(*affine_over_sym(40))
+
+
+@pytest.mark.extended
+def test_affine_over_s100_middles_agree_with_grid():
+    assert_grid_agree(*affine_over_sym(100))
+
+
+@pytest.mark.parametrize("n", [800, 1600])
+def test_affine_over_sym_middles_answer_within_the_caps(n):
+    a, b = affine_over_sym(n)
+    results = [fast(a, b) for fast in FAST.values()]
+    assert all(r.period == 6 and r.chi == a.chi + b.chi for r in results)
+    if n == 800:
+        # reduce re-derives the product from tll and tlr and certifies it
+        reduce(a, b, results[0])
+
+
+def germ_route_operand(rng):
+    """Zoo members, mixed tails, affines of periods 2 to 7, and affine over
+    S_d middles, of either tail kind."""
+    kind = rng.randrange(7)
+    if kind == 0:
+        return zoo_perm(rng)
+    if kind == 1:
+        return mixed_tails(rng)
+    if kind == 2:
+        return rand_affine(rng, rng.randint(2, 5), rng.randint(0, 2))
+    if kind == 3:
+        return rand_affine(rng, rng.choice((5, 7)), 1)
+    s = sym(rng, rng.randint(2, 8), rng.randint(-5, 5))
+    if kind == 4:
+        return compose(rand_affine(rng, rng.randint(2, 5), 1), s)
+    if kind == 5:
+        return star(rand_affine(rng, rng.choice((5, 7)), 1), s)
+    return compose(mixed_tails(rng), s)
+
+
+def moved(rng, p, off):
+    """p shifted on either side by up to 50, or inverted, at random, then
+    translated by off."""
+    if rng.random() < 0.3:
+        p = compose(make_shift(rng.randint(-50, 50)), p)
+    if rng.random() < 0.2:
+        p = compose(p, make_shift(rng.randint(-50, 50)))
+    if rng.random() < 0.2:
+        p = inverse(p)
+    return translated(p, off)
+
+
+@pytest.mark.extended
+def test_germ_route_against_the_grid():
+    rng = random.Random(18)
+    products = 0
+    while products < 5000:
+        off = rng.choice((0, 0, 300, -300))
+        p = moved(rng, germ_route_operand(rng), off)
+        q = moved(rng, germ_route_operand(rng), off if rng.random() < 0.8 else 0)
+        for kind, fast in FAST.items():
+            # the pairs that take no finitary factor
+            if (q.period == 1 and kind != "tlr") or (p.period == 1 and kind != "tll"):
+                continue
+            assert fast(p, q) == grid_product(kind, p, q), (kind, p, q)
+            products += 1
 
 
 def test_closed_windows_are_capped_before_they_are_built(rng, monkeypatch):
     def no_fold(*args):
         raise AssertionError("folded past the window cap")
 
+    # the truncations, closed by the identity, span the windows, 2B + K more
+    # on each side, and the d + 1 entries of each gap
     m = compose(MIXED_GERMS[0], sym(rng, 30))
+    bent = parse_perm("ep(k=3, lo=-2; -6 1 2 5 -3 4 0 7 8)")
     monkeypatch.setattr(finitary, "_fold_kind", no_fold)
     monkeypatch.setattr(perm, "_max_window", 60)
-    # a period-2 partner: a period-1 one is a finitary factor of star and tll
-    for fast in FAST.values():
-        with pytest.raises(ResourceLimit, match=r"closed window of \d+ entries exceeds cap 60"):
-            fast(m, make_affine([-1, 2], 2))
+    # period-2 partners: a period-1 one is a finitary factor of star and tll
+    a = make_affine([-1, 2], 2)
+    refused = r"truncated window of \d+ entries exceeds cap 60"
+    for p, q in ((m, a), (bent, a), (a, bent)):
+        for fast in FAST.values():
+            with pytest.raises(ResourceLimit, match=refused):
+                fast(p, q)
 
 
 def test_factored_grid_equals_the_unfactored_grid(rng):
@@ -816,16 +897,12 @@ def test_factored_grid_equals_the_unfactored_grid(rng):
 # finitary factor: a period-1 word operand folds on its own window
 
 
-def assert_factor_agrees(f, other, against_grid=True):
+def assert_factor_agrees(f, other):
     """star, tll and tlr of the period-1 f and other, in both orders, equal
-    the periodized or stitched fold and, when asked, the grid engine."""
+    the grid engine's."""
     assert f.period == 1 < other.period
-    for p, q in ((f, other), (other, f)):
-        for kind, fast in FAST.items():
-            r = fast(p, q)
-            assert r == periodized_or_stitched(kind, p, q), (kind, p, q)
-            if against_grid:
-                assert r == grid_product(kind, p, q), (kind, p, q)
+    assert_grid_agree(f, other)
+    assert_grid_agree(other, f)
 
 
 def test_finitary_factor_zoo_against_sym(rng):
@@ -859,10 +936,10 @@ def test_finitary_factor_windows_far_from_zero(rng, off):
         f = sym(rng, rng.randint(3, 12), off + rng.randint(-5, 5), chi)
         near = translated(star(rand_affine(rng, 3, 1), sym(rng, 4)), off)
         assert abs(near.lo - off) < 20
-        # the grid's box would span the affine's window at 0 and f's
-        assert_factor_agrees(f, rand_affine(rng, 5, 1), against_grid=False)
-        assert_factor_agrees(f, near, against_grid=False)
-        assert_factor_agrees(f, translated(MIXED_GERMS[1], off), against_grid=False)
+        # the grid conjugates the windows to 0, and skips the affine's
+        assert_factor_agrees(f, rand_affine(rng, 5, 1))
+        assert_factor_agrees(f, near)
+        assert_factor_agrees(f, translated(MIXED_GERMS[1], off))
     f = sym(rng, 6, off, 50)
     assert_factor_agrees(f, translated(MIXED_GERMS[0], off))
 
@@ -876,12 +953,11 @@ def test_s80_finitary_factor_against_affines_and_mixed_tails(k):
     assert_factor_agrees(inverse(s), compose(MIXED_GERMS[k % 2], sym(rng, 10)))
 
 
-def test_finitary_factors_skip_the_periodization_and_the_stitch(monkeypatch):
+def test_finitary_factors_skip_the_germ_folds(monkeypatch):
     calls = []
-    for name in ("_equal_tail_product", "_stitched_product"):
-        route = getattr(finitary, name)
-        spy = lambda *a, _r=route, _n=name: calls.append(_n) or _r(*a)
-        monkeypatch.setattr(finitary, name, spy)
+    route = finitary._germ_product
+    spy = lambda *a: calls.append(a[0]) or route(*a)
+    monkeypatch.setattr(finitary, "_germ_product", spy)
     rng = random.Random(2000)
     m, s = MIXED_GERMS[0], sym(rng, 2000)
     star(compose(m, s), s)
@@ -890,7 +966,7 @@ def test_finitary_factors_skip_the_periodization_and_the_stitch(monkeypatch):
         fast(p, q)
     assert calls == []
     # tll folds q, tlr p^-1: a period-1 operand on the other side has no
-    # identity of its own, and the pair stays periodized
+    # identity of its own, and the pair takes the germ folds
     tll(f, a)
     tlr(a, f)
-    assert calls == ["_equal_tail_product"] * 2
+    assert calls == ["tll", "tlr"]
