@@ -646,28 +646,36 @@ def test_products_of_a_zoo_pass_build_no_grid(rng, monkeypatch):
     assert "grid_product" in calls and "sf_from_perm" in calls
 
 
-def test_germ_certificates_fire(rng, monkeypatch):
+def test_periodized_certificates_fire(rng, monkeypatch):
     # the margin is proven, not tight: with X = B + K the first and last K
     # entries of the middle follow the germ products; read from the windows
-    # themselves (X = 0), these pairs leave them
-    five_seven = (
-        make_sigma_set(ResidueClass(0, 5)),
-        star(make_sigma_set(ResidueClass(1, 7)), sym(rng, 3, -1)),
-    )
-    mixed = from_window(2, 2, [2, 3, 5, 4]), make_affine([-1, 2], 2)
-    right = [star(*pair) for pair in (five_seven, mixed)]
+    # themselves (X = 0), this pair of coprime periods leaves them
+    p = make_sigma_set(ResidueClass(0, 5))
+    q = star(make_sigma_set(ResidueClass(1, 7)), sym(rng, 3, -1))
+    right = star(p, q)
     monkeypatch.setattr(finitary, "_germ_margin", lambda b, k: 0)
-    for p, q in (five_seven, mixed):
-        with pytest.raises(InternalInconsistency, match="leaves the germ product at"):
-            star(p, q)
+    with pytest.raises(InternalInconsistency, match="leaves the germ product at"):
+        star(p, q)
     monkeypatch.undo()
     word = finitary._affine_word
     monkeypatch.setattr(finitary, "_affine_word", lambda u, n: word(u, n)[:-1])
     with pytest.raises(InternalInconsistency, match="letters, the operand"):
-        star(*five_seven)
+        star(p, q)
     monkeypatch.undo()
-    assert [star(*pair) for pair in (five_seven, mixed)] == right
-    assert right[1] == grid_product("star", *mixed)
+    assert star(p, q) == right
+
+
+def test_stitch_certificate_fires(monkeypatch):
+    # a mixed-tail operand: its two germs differ, and X = 0 leaves the germ
+    # product on the side where they meet the other operand's
+    p, q = from_window(2, 2, [2, 3, 5, 4]), make_affine([-1, 2], 2)
+    right = star(p, q)
+    monkeypatch.setattr(finitary, "_germ_margin", lambda b, k: 0)
+    with pytest.raises(InternalInconsistency, match="leaves the germ product at"):
+        star(p, q)
+    monkeypatch.undo()
+    assert star(p, q) == right
+    assert right == grid_product("star", p, q)
 
 
 def test_periodized_size_caps_apply_before_folding(rng, monkeypatch):
