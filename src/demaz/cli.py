@@ -478,8 +478,8 @@ def main(argv=None) -> int:
         )
         return 3
     finally:
-        # the cap is process-global; scope it to this invocation so
-        # embedded callers are not left with a stale limit
+        # the cap lives in the caller's context; restore it so an embedded
+        # caller is not left with this invocation's limit
         set_max_window(old_cap)
 
 

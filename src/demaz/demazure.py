@@ -245,25 +245,20 @@ class ReducedTuple(NamedTuple):
     suffix_products: tuple[Permutation, ...]
 
 
-def _require_dominates(p: Permutation, q: Permutation, g: Permutation) -> None:
-    st = star(p, q)
-    if p.chi + q.chi != g.chi:
-        raise NotDominated(
-            f"shift mismatch: {p.chi} + {q.chi} != {g.chi}", None
-        )
-    ok, cell = bruhat_leq_witness(g, st)
-    if not ok:
-        raise NotDominated("product does not dominate the target", cell)
-
-
 def reduce(p: Permutation, q: Permutation, g: Permutation) -> ReductionWitness:
     """Split star(p, q) >= g into an exact reduced factorization of g.
 
     alpha1 = tll(g, inverse(q)) and beta1 = tlr(inverse(alpha1), g) satisfy
     alpha1 <= p, beta1 <= q (shift-graded), the pair is reduced, and
-    compose(alpha1, beta1) = g.  All four facts are re-verified on return.
+    compose(alpha1, beta1) = g.  All four facts are verified before return,
+    and together they show that star(p, q) dominates g: a reduced pair
+    multiplies to its Demazure product, so g = star(alpha1, beta1), and the
+    Demazure product is monotone in both operands.  So star(p, q) is built
+    only when the certificate fails: a cell where it does not dominate g
+    raises ``NotDominated``, and no such cell ``InternalInconsistency``.
     """
-    _require_dominates(p, q, g)
+    if p.chi + q.chi != g.chi:
+        raise NotDominated(f"shift mismatch: {p.chi} + {q.chi} != {g.chi}", None)
     a1 = tll(g, inverse(q))
     b1 = tlr(inverse(a1), g)
     w = ReductionWitness(
@@ -278,6 +273,9 @@ def reduce(p: Permutation, q: Permutation, g: Permutation) -> ReductionWitness:
     if not (
         w.alpha1_leq_chi and w.beta1_leq_chi and w.reduced and w.product_equal
     ):
+        ok, cell = bruhat_leq_witness(g, star(p, q))
+        if not ok:
+            raise NotDominated("product does not dominate the target", cell)
         raise InternalInconsistency(f"reduction certificate failed: {w}")
     return w
 

@@ -42,9 +42,9 @@ from __future__ import annotations
 import math
 from bisect import bisect
 
-from .errors import InternalInconsistency, ResourceLimit
-from .perm import Permutation, from_window, get_max_window, is_affine
-from .perm import _GRID_CELL_CAP, _check_window, _images, _inversions, _preimages
+from .errors import InternalInconsistency
+from .perm import Permutation, from_window, is_affine
+from .perm import _check_cells, _check_window, _images, _inversions, _preimages
 from .perm import _period_inverse
 
 __all__ = [
@@ -150,26 +150,11 @@ def _affine_fold(x: list[int], v: list[int], ascents: bool) -> list[int]:
     s = (k * (k - 1) // 2 - sum(v)) // k
     arr = [x[(n - s) % k] + n - s - (n - s) % k for n in range(k)] if s else list(x)
     v = [a + s for a in v] if s else v
-    if not (_interval(arr) and _interval(v)):
-        m = max(abs(a - i) for f in (x, v) for i, a in enumerate(f))
-        # the word has at most 2km letters (an inversion (i, n) of v has n - i
-        # < 2m), and _affine_word's insertion sort moves up to k^2 slice
-        # entries; the cap bounds both, and the value spread, below k + 4m,
-        # that _inversions' Fenwick tree spans
-        work = k * max(k, 2 * m)
-        if work > _GRID_CELL_CAP:
-            raise ResourceLimit(
-                f"affine fold of period {k} and diff_bound {m} ({work} steps) "
-                "exceeds grid cap"
-            )
     length = _affine_length(v)
-    # the insertion sort moves one slice entry per letter and the fold reads
-    # each letter once; on intervals, as for every finitary factor and
-    # middle, this is the only bound of that work
-    if length > _GRID_CELL_CAP:
-        raise ResourceLimit(
-            f"affine fold word of {length} letters exceeds grid cap"
-        )
+    # the insertion sort moves one slice entry per letter, in the wrap loop
+    # too, and the fold reads each letter once: the cap on the letters
+    # bounds all of that work
+    _check_cells("affine fold word", length)
     word = _affine_word(_period_inverse(v), length)
     if len(word) != length:
         raise InternalInconsistency(
@@ -410,8 +395,7 @@ def _truncated(f: _Factor, x0: int, x1: int, d: int) -> list[int]:
 def _germ_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
     """``affine_product`` by germ folds and a finitary middle."""
     k = math.lcm(p.period, q.period)
-    if k > (cap := get_max_window()):
-        raise ResourceLimit(f"affine period {k} exceeds window cap {cap}")
+    _check_window("germ period", k)
     u, w = p.chi, q.chi
     # the windows of the factors p'(n) = p(n) + u and q'(n) = q(n + w)
     bent = [(f.lo - s, f.hi - s) for f, s in ((p, 0), (q, w)) if not is_affine(f)]

@@ -27,10 +27,9 @@ import math
 from itertools import islice
 from typing import NamedTuple
 
-from .errors import ResourceLimit
 from .perm import (
-    _GRID_CELL_CAP,
     Permutation,
+    _check_cells,
     _images,
     _preimages,
     eval_s,
@@ -105,11 +104,7 @@ def essential_cells(
     b0 - 1 with alpha(n) > v1, since alpha carries [b0 - 1, b1] into
     [v0, v1]; one ``eval_s`` gives E."""
     cells = max(a1 - a0 + 1, 0) * max(b1 - b0 + 1, 0)
-    if cells > _GRID_CELL_CAP:
-        raise ResourceLimit(
-            f"essential cells of [{a0}..{a1}]x[{b0}..{b1}] ({cells} cells) "
-            f"exceed cap {_GRID_CELL_CAP}"
-        )
+    _check_cells(f"essential-cell scan [{a0}..{a1}]x[{b0}..{b1}]", cells)
     if not cells:
         return []
     k, lo, vals = p.period, p.lo, p.vals

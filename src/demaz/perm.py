@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect, bisect_left, insort
+from contextvars import ContextVar
 from functools import partial
 from typing import Iterable, NamedTuple, Sequence
 
@@ -82,32 +83,40 @@ __all__ = [
 ]
 
 DEFAULT_MAX_WINDOW = 10**6
-_max_window = DEFAULT_MAX_WINDOW
+# the window cap of the current context: a thread or a copied context that
+# sets it leaves its caller's as it was
+_max_window: ContextVar[int] = ContextVar("max_window", default=DEFAULT_MAX_WINDOW)
 # cells of any rectangle tabulated or scanned: rank tables, slipface grids,
-# essential-cell sweeps, renderings and fold work
+# essential-cell sweeps, renderings, and the letters of a fold word
 _GRID_CELL_CAP = 40_000_000
 
 
 def get_max_window() -> int:
-    return _max_window
+    return _max_window.get()
 
 
 def set_max_window(n: int) -> None:
-    """Set the window-length cap used by compose and the constructors."""
-    global _max_window
+    """Set the window-length cap of the current context, used by compose,
+    the constructors and every product."""
     if n < 1:
         raise ValueError("window cap must be positive")
-    _max_window = n
+    _max_window.set(n)
 
 
 def _check_window(what: str, size: int) -> None:
     """Refuse a window, band or list of size entries over the window cap
     before it is built."""
-    if size > _max_window:
+    if size > (cap := _max_window.get()):
         raise ResourceLimit(
-            f"{what} of {size} entries exceeds cap {_max_window} "
-            "(raise it with --max-window)"
+            f"{what} of {size} entries exceeds cap {cap} (raise it with --max-window)"
         )
+
+
+def _check_cells(what: str, cells: int) -> None:
+    """Refuse a rectangle, grid or fold word of cells entries over the cell
+    cap before it is built."""
+    if cells > _GRID_CELL_CAP:
+        raise ResourceLimit(f"{what} of {cells} cells exceeds cap {_GRID_CELL_CAP}")
 
 
 class ResidueClass(NamedTuple):
@@ -292,10 +301,7 @@ def validate(period: int, lo: int, vals: Sequence[int]) -> list[Violation]:
                 f"window holds {len(vals)} values, needs at least period {k}",
             )
         ]
-    if len(vals) > _max_window:
-        raise ResourceLimit(
-            f"window of {len(vals)} entries exceeds cap {_max_window}"
-        )
+    _check_window("window", len(vals))
     if _covers_each_class_once(k, vals):
         return []
 
@@ -446,7 +452,7 @@ def from_window(period: int, lo: int, vals: Sequence[int]) -> Permutation:
     """
     vals = tuple(map(int, vals))
     if not (
-        0 < period <= len(vals) <= _max_window
+        0 < period <= len(vals) <= _max_window.get()
         and _covers_each_class_once(period, vals)
     ):
         bad = validate(period, lo, vals)
@@ -603,8 +609,7 @@ def inverse(p: Permutation) -> Permutation:
         return from_window(k, 0, _period_inverse(_images(k, p.lo, vals, 0, k - 1)))
     lo_i = min(vals) - k
     size = max(vals) + k - lo_i + 1
-    if size > _max_window:
-        raise ResourceLimit(f"window of {size} entries exceeds cap {_max_window}")
+    _check_window("inverse window", size)
     return from_window(k, lo_i, _preimages(k, p.lo, vals, lo_i, lo_i + size - 1))
 
 
@@ -696,11 +701,7 @@ def eval_s_at(
     firsts = _images(k, lo, vals, n0, n0 + k - 1)
     top = max(firsts) - k + 1
     below = sum((top - u + k - 1) // k for u in firsts)
-    if below > _max_window:
-        raise ResourceLimit(
-            f"right tail of {p!r} has {below} values below its residue "
-            f"system's top, over cap {_max_window}"
-        )
+    _check_window(f"right-tail list of {p!r}", below)
     seen = [*vals[max(b1 + 1 - lo, 0) :]]
     seen += [v for u in firsts for v in range(u, top, k)]
     seen.sort()
@@ -743,10 +744,7 @@ def has_inversion(p: Permutation, u: int, v: int) -> bool:
 
 def _inversion_band(ps: Sequence[Permutation], u_lo: int, n1: int) -> list[list[int]]:
     """Each operand's images on [u_lo, n1], the length checked first."""
-    if n1 - u_lo >= _max_window:
-        raise ResourceLimit(
-            f"inversion band of {n1 - u_lo + 1} entries exceeds cap {_max_window}"
-        )
+    _check_window("inversion band", n1 - u_lo + 1)
     return [_images(p.period, p.lo, p.vals, u_lo, n1) for p in ps]
 
 
@@ -817,13 +815,15 @@ def _inversions(seq: Sequence[int]) -> int:
             count += i - j
             seen.insert(j, x)
         return count
-    base = min(seq) - 1
-    size = max(seq) - base
+    # the tree runs over the ranks of the values, so it has len(seq) nodes
+    # whatever their spread; equal values rank in seq's order, no inversion
+    size = len(seq)
+    rank = sorted(range(size), key=sorted(range(size), key=seq.__getitem__).__getitem__)
     tree = [0] * (size + 1)
     count = 0
-    for n, x in enumerate(seq):
-        i = x - base
-        j, below = i, 0
+    for n, r in enumerate(rank):
+        i = j = r + 1
+        below = 0
         while j:
             below += tree[j]
             j &= j - 1

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import ResourceLimit
-from .perm import _GRID_CELL_CAP, Permutation, eval_s_at
+from .perm import Permutation, _check_cells, eval_s_at
 
 if TYPE_CHECKING:  # annotations only; the grid engine loads for a Slipface
     from .slipface import Slipface
@@ -66,11 +65,7 @@ def render(s: Slipface | Permutation, spec: RenderSpec) -> str:
     rectangle of spec, whose size is checked before anything is built."""
     rows = range(spec.a_lo, spec.a_hi + 1)
     cols = range(spec.b_lo, spec.b_hi + 1)
-    if len(rows) * len(cols) > _GRID_CELL_CAP:
-        raise ResourceLimit(
-            f"render rectangle of {len(rows) * len(cols)} cells exceeds cap "
-            f"{_GRID_CELL_CAP}"
-        )
+    _check_cells("render rectangle", len(rows) * len(cols))
     if isinstance(s, Permutation):
         g = [list(r) for r in zip(*eval_s_at(s, [(b, rows) for b in cols]))]
     else:

@@ -45,7 +45,7 @@ from .errors import (
     ResourceLimit,
 )
 from .order import EssPoint, EssSet, perm_box, scan_region
-from .perm import _GRID_CELL_CAP, Permutation, _images, apply, from_window
+from .perm import Permutation, _check_cells, _images, apply, from_window
 
 if TYPE_CHECKING:  # annotations only; numpy loads where arrays are built
     import numpy as np
@@ -107,8 +107,7 @@ def _mk(chi: int, period: int, band: int, a_lo: int, b_lo: int, grid) -> Slipfac
     import numpy as np
     band = max(band, abs(chi) + 1, 1)
     grid = np.ascontiguousarray(grid, dtype=np.int64)
-    if grid.size > _GRID_CELL_CAP:
-        raise ResourceLimit(f"slipface grid of {grid.size} cells exceeds cap")
+    _check_cells("slipface grid", grid.size)
     grid.setflags(write=False)
     s = Slipface(chi, period, band, a_lo, b_lo, grid)
     bad = _geometry_violation(s)
@@ -161,8 +160,7 @@ def sf_eval(s: Slipface, a: int, b: int) -> int:
 def sf_eval_grid(s: Slipface, a0: int, a1: int, b0: int, b1: int) -> np.ndarray:
     """Vectorized evaluation on the rectangle [a0, a1] x [b0, b1]."""
     import numpy as np
-    if (a1 - a0 + 1) * (b1 - b0 + 1) > _GRID_CELL_CAP:
-        raise ResourceLimit("evaluation rectangle exceeds grid cell cap")
+    _check_cells("evaluation rectangle", (a1 - a0 + 1) * (b1 - b0 + 1))
     A = np.arange(a0, a1 + 1, dtype=np.int64)[:, None]
     B = np.arange(b0, b1 + 1, dtype=np.int64)[None, :]
     delta = A - B
@@ -211,9 +209,7 @@ def rank_table(p: Permutation, a0: int, a1: int, b0: int, b1: int) -> np.ndarray
     left of the window.
     """
     import numpy as np
-    cells = (a1 - a0 + 1) * (b1 - b0 + 1)
-    if cells > _GRID_CELL_CAP:
-        raise ResourceLimit(f"rank table of {cells} cells exceeds grid cap")
+    _check_cells("rank table", (a1 - a0 + 1) * (b1 - b0 + 1))
     k, lo, hi = p.period, p.lo, p.hi
     # every alpha(n) met lies within reach of 0, so below 2^62 each
     # difference and count stays inside int64
@@ -573,10 +569,7 @@ def _tropical(s: Slipface, t: Slipface, kind: str) -> Slipface:
     hi = max(s.a_hi, s.b_hi, t.a_hi, t.b_hi)
     margin = k + band + 2
     c0, c1 = lo - margin, hi + margin
-    if (c1 - c0 + 1) ** 2 > _GRID_CELL_CAP:
-        raise ResourceLimit(
-            f"result box of {(c1 - c0 + 1) ** 2} cells exceeds grid cap"
-        )
+    _check_cells("result box", (c1 - c0 + 1) ** 2)
     reach = t.band + 2
     l0, l1 = c0 - reach, c1 + reach
     S = sf_eval_grid(s, c0, c1, l0, l1)

@@ -17,11 +17,13 @@ import pytest
 from demaz import (
     compose,
     from_window,
+    get_max_window,
     inverse,
     make_affine,
     make_from_one_line,
     make_gamma,
     make_shift,
+    set_max_window,
     shift_of,
     star,
 )
@@ -54,6 +56,14 @@ def pytest_collection_modifyitems(config, items):
 @pytest.fixture
 def rng():
     return random.Random(0xD380AC)
+
+
+@pytest.fixture
+def max_window():
+    """``set_max_window`` for one test; the caller's cap is restored after."""
+    old = get_max_window()
+    yield set_max_window
+    set_max_window(old)
 
 
 def has_equal_tails(p):

@@ -401,8 +401,9 @@ W0_9500 = "sym(0; " + " ".join(map(str, range(9499, -1, -1))) + ")"
         (["compare", "leq", "sym(1; 2 1)",
           "ep(k=1, lo=0; -100000000000000000000 -99999999999999999999)"], 0),
         (["inverse", "shift(" + "9" * 5000 + ")"], 2),
-        # an affine period past int64 in the left operand of the fold
-        (["star", "aff(2; 0 100000000000000000001)", "aff(2; 1 0)"], 4),
+        # an affine period past int64 in the operand whose word is folded,
+        # about 10^20 letters
+        (["star", "aff(2; 1 0)", "aff(2; 0 100000000000000000001)"], 4),
         # a periodic scan square of (8 * 10^6)^2 cells, refused before any list
         (["ess", "aff(2; 0 2000001)"], 4),
         # a finitary factor's word over the grid cap, refused before it is

@@ -12,8 +12,8 @@ from demaz import (
     ResourceLimit,
     apply,
     bruhat_leq,
+    bruhat_leq_witness,
     compose,
-    get_max_window,
     greedy_witness,
     identity,
     inv_count,
@@ -29,7 +29,6 @@ from demaz import (
     parse_perm,
     reduce,
     reduce_tuple,
-    set_max_window,
     shift_of,
     star,
     star_sigma,
@@ -177,6 +176,32 @@ def test_reduce_rejects_non_dominated():
         reduce(s1, s1, make_shift(1))  # shift mismatch
 
 
+@pytest.mark.parametrize(
+    "p, q, g, cell",
+    [
+        ("sym(1; 2 1)", "sym(2; 3 2)", "sym(1; 3 2 1)", (3, 2)),
+        ("aff(3; 2 -3 4)", "sym(1; 2 1)", "aff(3; 4 -3 2)", (-17, -20)),
+        ("aff(3; 2 -3 4)", "shift(2)", "ep(k=3, lo=0; 2 -5 0)", (-22, -20)),
+        ("sigma_mod(0,2)", "sigma_mod(1,2)", "aff(2; 3 -2)", (-13, -13)),
+        ("ep(k=2, lo=-2; -2 -1 1 0)", "sym(1; 3 1 2)",
+         "ep(k=2, lo=-2; -2 -1 1 2 3 0 5 4)", (1, 3)),
+        ("sym(10000; 10001 10000)", "sym(10001; 10002 10001)",
+         "ep(k=1, lo=9999; 9999 10002 10001 10000 10003)", (10002, 10001)),
+        ("gamma(2,3)", "sym(1; 2 1)", "gamma(3,2)", None),  # shift mismatch
+    ],
+)
+def test_reduce_names_the_cell_where_the_product_fails(p, q, g, cell):
+    # reduce builds star(p, q) only once its certificate fails, and names
+    # the first cell where it does not dominate g (cells recorded when the
+    # star was built before the certificate)
+    p, q, g = map(parse_perm, (p, q, g))
+    with pytest.raises(NotDominated) as info:
+        reduce(p, q, g)
+    assert info.value.cell == cell
+    if cell is not None:
+        assert bruhat_leq_witness(g, star(p, q)) == (False, cell)
+
+
 def test_reduce_tuple_examples():
     s1, s2 = make_sigma_set([1]), make_sigma_set([2])
     w0 = parse_perm("sym(1; 3 2 1)")
@@ -217,14 +242,10 @@ def test_inv_count_laws_s3():
             assert inv_count(tll(p, q)) >= np_ - nq
 
 
-def test_resource_cap():
-    old = get_max_window()
-    try:
-        set_max_window(8)
-        with pytest.raises(ResourceLimit):
-            star(make_gamma(4, 4), make_gamma(4, 4))
-    finally:
-        set_max_window(old)
+def test_resource_cap(max_window):
+    max_window(8)
+    with pytest.raises(ResourceLimit):
+        star(make_gamma(4, 4), make_gamma(4, 4))
 
 
 @pytest.mark.extended

@@ -235,7 +235,7 @@ def test_size_caps_apply_before_allocation(rng):
     # equal sides answer without a scan, so the comparison takes two
     wide, other = sym(rng, 7000), sym(rng, 7000)
     assert wide != other
-    with pytest.raises(ResourceLimit, match=r"\(49014001 cells\) exceed cap"):
+    with pytest.raises(ResourceLimit, match="of 49014001 cells exceeds cap 40000000"):
         bruhat_leq_witness(wide, other)
 
 
@@ -426,25 +426,31 @@ def test_affine_products_build_no_grid(rng):
     assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
-def test_affine_size_caps_apply_before_folding(rng, monkeypatch):
+def test_affine_size_caps_apply_before_folding(rng, monkeypatch, max_window):
+    # the period 8633 = 89 * 97 is far under the window cap, and the words,
+    # about 4 * 10^5 letters, far under the cell cap: all three fold, and
+    # star agrees with its mirror, which folds the other operand's word
+    p, q = rand_affine(rng, 89, 1), rand_affine(rng, 97, 1)
+    for fast in FAST.values():
+        assert fast(p, q).period == 8633
+    assert star(p, q) == inverse(star(inverse(q), inverse(p)))
+
     def no_fold(*args):
         raise AssertionError("folded past the size cap")
 
     monkeypatch.setattr(finitary, "_affine_word", no_fold)
-    p, q = rand_affine(rng, 89, 1), rand_affine(rng, 97, 1)
-    for fast in FAST.values():
-        with pytest.raises(ResourceLimit, match="affine fold of period 8633"):
-            fast(p, q)
     p, q = rand_affine(rng, 7, 1), rand_affine(rng, 5, 1)
-    monkeypatch.setattr(perm, "_max_window", 30)
-    with pytest.raises(ResourceLimit, match="affine period 35 exceeds window cap"):
+    max_window(30)
+    with pytest.raises(ResourceLimit, match="germ period of 35 entries exceeds cap 30"):
         star(p, q)
-    monkeypatch.setattr(perm, "_max_window", perm.DEFAULT_MAX_WINDOW)
-    # k^2 fits the cap, the word's letter bound 2km (m = 30) does not
-    monkeypatch.setattr(finitary, "_GRID_CELL_CAP", 35 * 35)
-    wide = make_affine([30, 1, 2, 3, -26], 5)
-    with pytest.raises(ResourceLimit, match="period 35 and diff_bound 30"):
-        tll(p, wide)
+    max_window(perm.DEFAULT_MAX_WINDOW)
+    # the word of q on the common period [0, 35), one letter over the cap
+    letters = finitary._affine_length(perm._images(q.period, q.lo, q.vals, 0, 34))
+    monkeypatch.setattr(perm, "_GRID_CELL_CAP", letters - 1)
+    refused = f"affine fold word of {letters} cells exceeds cap {letters - 1}"
+    for fast in (star, tll):
+        with pytest.raises(ResourceLimit, match=refused):
+            fast(p, q)
 
 
 def test_has_equal_tails_classifies_the_operands(rng):
@@ -678,7 +684,7 @@ def test_stitch_certificate_fires(monkeypatch):
     assert right == grid_product("star", p, q)
 
 
-def test_periodized_size_caps_apply_before_folding(rng, monkeypatch):
+def test_periodized_size_caps_apply_before_folding(rng, monkeypatch, max_window):
     def no_fold(*args):
         raise AssertionError("folded past the size cap")
 
@@ -686,25 +692,37 @@ def test_periodized_size_caps_apply_before_folding(rng, monkeypatch):
     # the finitary middle
     p, q = star(rand_affine(rng, 7, 1), sym(rng, 4)), rand_affine(rng, 5, 1)
     monkeypatch.setattr(finitary, "_affine_word", no_fold)
-    monkeypatch.setattr(perm, "_max_window", 30)
+    max_window(30)
     for fast in FAST.values():
-        with pytest.raises(ResourceLimit, match="affine period 35 exceeds window cap 30"):
+        with pytest.raises(ResourceLimit, match="germ period of 35 entries exceeds cap 30"):
             fast(p, q)
-    monkeypatch.setattr(perm, "_max_window", perm.DEFAULT_MAX_WINDOW)
-    monkeypatch.setattr(finitary, "_GRID_CELL_CAP", 35 * 35 - 1)
-    with pytest.raises(ResourceLimit, match="affine fold of period 35"):
+    max_window(perm.DEFAULT_MAX_WINDOW)
+    # tlr folds the word of the left germ of p^-1 first: p's left germ, a
+    # period of 7 repeated on [0, 35), has as many letters, one over the cap
+    germ = perm._images(p.period, p.lo, p.vals[: p.period], 0, 34)
+    letters = finitary._affine_length([v + p.chi for v in germ])
+    monkeypatch.setattr(perm, "_GRID_CELL_CAP", letters - 1)
+    with pytest.raises(
+        ResourceLimit, match=f"affine fold word of {letters} cells exceeds cap {letters - 1}"
+    ):
         tlr(p, q)
 
 
 def test_affine_fold_checks_both_operands_before_numpy(monkeypatch):
-    def no_numpy(*args):
-        raise AssertionError("reached the length count past the size cap")
+    # huge has length about 10^20; s swaps 0 and 1 in every period
+    huge, s = make_affine([0, 10**20 + 1], 2), make_affine([1, 0], 2)
+    # as the left operand of star and tll, huge is not folded as a word:
+    # huge(0) < huge(1), so star keeps the letter and tll drops it
+    assert star(huge, s) == compose(huge, s)
+    assert tll(huge, s) == huge
 
-    monkeypatch.setattr(finitary, "_affine_length", no_numpy)
-    huge = make_affine([0, 10**20 + 1], 2)
-    cases = [(fast, huge, make_affine([1, 0], 2)) for fast in FAST.values()]
-    for fast, p, q in [*cases, (tll, make_shift(1), huge)]:
-        with pytest.raises(ResourceLimit, match=r"period 2 and diff_bound \d{20,} "):
+    def no_fold(*args):
+        raise AssertionError("spelled a word past the cell cap")
+
+    monkeypatch.setattr(finitary, "_affine_word", no_fold)
+    # tlr folds the word of huge^-1, and tll(shift, huge) that of huge
+    for fast, p, q in ((tlr, huge, s), (tll, make_shift(1), huge)):
+        with pytest.raises(ResourceLimit, match=r"affine fold word of \d{20,} cells exceeds cap"):
             fast(p, q)
     # star and tlr fold a period-1 left operand on its own window: a shift
     # has none, so nothing is folded
@@ -870,7 +888,7 @@ def test_germ_route_against_the_grid():
             products += 1
 
 
-def test_closed_windows_are_capped_before_they_are_built(rng, monkeypatch):
+def test_closed_windows_are_capped_before_they_are_built(rng, monkeypatch, max_window):
     def no_fold(*args):
         raise AssertionError("folded past the window cap")
 
@@ -879,7 +897,7 @@ def test_closed_windows_are_capped_before_they_are_built(rng, monkeypatch):
     m = compose(MIXED_GERMS[0], sym(rng, 30))
     bent = parse_perm("ep(k=3, lo=-2; -6 1 2 5 -3 4 0 7 8)")
     monkeypatch.setattr(finitary, "_fold_kind", no_fold)
-    monkeypatch.setattr(perm, "_max_window", 60)
+    max_window(60)
     # period-2 partners: a period-1 one is a finitary factor of star and tll
     a = make_affine([-1, 2], 2)
     refused = r"truncated window of \d+ entries exceeds cap 60"

@@ -97,3 +97,39 @@ def test_records_are_immutable():
     for record, name in ((spec, "fmt"), (w, "alpha1")):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
+
+
+def test_the_size_caps_have_one_home():
+    # every size cap is raised by perm._check_window or perm._check_cells;
+    # rank_table's int64 guard, a limit of the grid's dtype, is the one other
+    # ResourceLimit; no other module holds either cap, and perm holds the
+    # window cap in a ContextVar, not a global
+    import ast
+    import pathlib
+
+    caps = {"_GRID_CELL_CAP", "_max_window"}
+    raises, holders, globals_ = [], set(), []
+    for path in sorted(pathlib.Path(demaz.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Raise)
+                    and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) == "ResourceLimit"
+                ):
+                    raises.append((path.stem, fn.name))
+        for node in ast.walk(tree):
+            # a name read or bound, an attribute, or an imported name
+            named = {getattr(node, field, None) for field in ("id", "attr", "name")}
+            if path.stem != "perm" and named & caps:
+                holders.add(path.stem)
+            if isinstance(node, ast.Global):
+                globals_.append(path.stem)
+    assert sorted(raises) == [
+        ("perm", "_check_cells"), ("perm", "_check_window"), ("slipface", "rank_table"),
+    ]
+    assert holders == set()
+    assert "perm" not in globals_

@@ -1,6 +1,10 @@
 """Core permutation representation: construction, evaluation, counting."""
 
+import contextvars
 import doctest
+import importlib
+import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from demaz import (
     InvalidGeneratorSet,
     InvalidPermutation,
     ResidueClass,
+    RenderSpec,
     ResourceLimit,
     apply,
     canonicalize,
@@ -28,6 +33,7 @@ from demaz import (
     delta_s,
     diff_bound,
     eval_s,
+    essential_cells,
     eval_s_at,
     from_window,
     get_max_window,
@@ -42,12 +48,16 @@ from demaz import (
     make_gamma,
     make_shift,
     make_sigma_set,
+    render,
     set_max_window,
+    sf_eval_grid,
+    sf_from_perm,
+    sf_star,
     shift_of,
     star,
     validate,
 )
-from demaz import perm
+from demaz import perm, slipface
 from demaz.oracle import oracle_eval_s
 from demaz.perm import (
     Violation,
@@ -58,6 +68,7 @@ from demaz.perm import (
     _raw_diff_bound,
     _tail_apply,
 )
+from demaz.slipface import rank_table
 
 
 def test_identity_fixes_everything():
@@ -406,7 +417,7 @@ def test_eval_s_at_caps_the_right_tail():
     # the right tail's values 2, 4, ..., 2000002 lie below its residue
     # system's top, one more than the window cap allows
     p = make_affine([0, 2000003], 2)
-    with pytest.raises(ResourceLimit, match=r"1000001 values below .* cap 1000000"):
+    with pytest.raises(ResourceLimit, match=r"list of .* of 1000001 entries exceeds cap 1000000"):
         eval_s_at(p, [(0, [0])])
     assert eval_s_at(make_affine([0, 21], 2), [(0, [0, 5])]) == [
         [eval_s(make_affine([0, 21], 2), a, 0) for a in (0, 5)]
@@ -444,14 +455,10 @@ def test_inversion_scan_matches_the_per_pair_loops(rng):
     assert listed == {True, False}
 
 
-def test_inversion_band_is_capped_before_allocation():
-    old = get_max_window()
-    try:
-        set_max_window(50)
-        with pytest.raises(ResourceLimit, match="inversion band of 64 entries"):
-            inversions_in(make_shift(30), 0, 3)
-    finally:
-        set_max_window(old)
+def test_inversion_band_is_capped_before_allocation(max_window):
+    max_window(50)
+    with pytest.raises(ResourceLimit, match="inversion band of 64 entries"):
+        inversions_in(make_shift(30), 0, 3)
 
 
 def _chi_by_scan(k, lo, vals, bound):
@@ -783,3 +790,115 @@ def test_perm_doctests_pass():
     result = doctest.testmod(perm)
     assert result.failed == 0
     assert result.attempted == 8
+
+
+# ---------------------------------------------------------------------------
+# size caps: one row per call site of perm._check_window and perm._check_cells
+
+
+def _gamma22():
+    return make_gamma(2, 2)
+
+
+# (id, cap, its value, a builder of the capped call, what the message names,
+# the size, and the function that runs after the check and must not): the
+# builder runs under the default caps, so it may build operands freely
+CAPPED = [
+    ("validate", "window", 10, lambda: partial(validate, 1, 0, list(range(11))),
+     "window", 11, "demaz.perm:_covers_each_class_once"),
+    ("violation-band", "window", 201, lambda: partial(validate, 1, 0, [0, 50]),
+     "violation band", 202, "demaz.perm:_tail_apply"),
+    ("sigma-mod", "window", 10, lambda: partial(make_sigma_set, ResidueClass(0, 11)),
+     "sigma_mod(0,11) window", 11, "demaz.perm:from_window"),
+    ("sigma-set", "window", 23, lambda: partial(make_sigma_set, [0, 20]),
+     "sigma window", 24, "demaz.perm:from_window"),
+    ("gamma", "window", 11, lambda: partial(make_gamma, 4, 4),
+     "gamma(4,4) window", 12, "demaz.perm:from_window"),
+    ("compose-affine", "window", 5,
+     lambda: partial(compose, make_affine([1, 0], 2), make_affine([1, 2, 0], 3)),
+     "composition window", 6, "demaz.perm:_images"),
+    ("compose", "window", 10, lambda: partial(compose, _gamma22(), _gamma22()),
+     "composition window", 14, "demaz.perm:_images"),
+    ("inverse", "window", 5, lambda: partial(inverse, make_gamma(2, 3)),
+     "inverse window", 9, "demaz.perm:_preimages"),
+    ("eval-s-at", "window", 9,
+     lambda: partial(eval_s_at, make_affine([0, 21], 2), [(0, [0])]),
+     "right-tail list of ep(k=2, lo=0; 0 21)", 10, "demaz.perm:partial"),
+    ("inversion-band", "window", 50, lambda: partial(inversions_in, make_shift(30), 0, 3),
+     "inversion band", 64, "demaz.perm:_images"),
+    ("product-window", "window", 5,
+     lambda: partial(star, _gamma22(), make_sigma_set([1])),
+     "product window", 7, "demaz.finitary:_images"),
+    ("germ-period", "window", 5,
+     lambda: partial(star, make_affine([1, 2, 0], 3), make_affine([1, 0], 2)),
+     "germ period", 6, "demaz.finitary:_affine_word"),
+    ("truncated-window", "window", 60,
+     lambda: partial(star, from_window(3, -2, [-6, 1, 2, 5, -3, 4, 0, 7, 8]),
+                     make_affine([-1, 2], 2)),
+     "truncated window", 77, "demaz.finitary:_affine_word"),
+    ("fold-word", "cells", 2,
+     lambda: partial(star, identity(), make_from_one_line([3, 2, 1])),
+     "affine fold word", 3, "demaz.finitary:_affine_word"),
+    ("essential-cells", "cells", 99,
+     lambda: partial(essential_cells, _gamma22(), 0, 9, 0, 9),
+     "essential-cell scan [0..9]x[0..9]", 100, "demaz.order:_images"),
+    ("render", "cells", 99, lambda: partial(render, _gamma22(), RenderSpec(0, 9, 0, 9)),
+     "render rectangle", 100, "demaz.render:eval_s_at"),
+    ("slipface-grid", "cells", 99,
+     lambda: partial(slipface._mk, 0, 1, 1, 0, 0, np.zeros((10, 10))),
+     "slipface grid", 100, "demaz.slipface:Slipface"),
+    ("evaluation-rectangle", "cells", 99,
+     lambda: partial(sf_eval_grid, sf_from_perm(_gamma22()), 0, 9, 0, 9),
+     "evaluation rectangle", 100, "numpy:arange"),
+    ("rank-table", "cells", 99, lambda: partial(rank_table, _gamma22(), 0, 9, 0, 9),
+     "rank table", 100, "demaz.slipface:_images"),
+    ("result-box", "cells", 99,
+     lambda: partial(sf_star, sf_from_perm(_gamma22()), sf_from_perm(make_sigma_set([1]))),
+     "result box", 1936, "demaz.slipface:sf_eval_grid"),
+]
+
+
+@pytest.mark.parametrize(
+    "cap, value, build, what, size, spy", [row[1:] for row in CAPPED],
+    ids=[row[0] for row in CAPPED],
+)
+def test_size_caps_fire_before_what_they_guard(
+    monkeypatch, max_window, cap, value, build, what, size, spy
+):
+    call = build()
+    module, name = spy.split(":")
+
+    def unreached(*args, **kwargs):
+        raise AssertionError(f"{name} ran past the {cap} cap")
+
+    monkeypatch.setattr(importlib.import_module(module), name, unreached)
+    if cap == "window":
+        max_window(value)
+        want = f"{what} of {size} entries exceeds cap {value} (raise it with --max-window)"
+    else:
+        monkeypatch.setattr(perm, "_GRID_CELL_CAP", value)
+        want = f"{what} of {size} cells exceeds cap {value}"
+    with pytest.raises(ResourceLimit) as info:
+        call()
+    assert str(info.value) == want
+
+
+def test_the_window_cap_does_not_leak(max_window, capsys):
+    from demaz import cli
+
+    max_window(123)
+    contextvars.copy_context().run(set_max_window, 5)
+    assert get_max_window() == 123
+    seen = []
+
+    def worker():
+        set_max_window(7)
+        seen.append(get_max_window())
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    thread.join()
+    assert seen == [7] and get_max_window() == 123
+    assert cli.main(["--max-window=5", "star", "gamma(4,4)", "gamma(4,4)"]) == 4
+    assert capsys.readouterr().err.startswith("resource limit: ")
+    assert get_max_window() == 123

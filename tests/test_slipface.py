@@ -114,7 +114,7 @@ def test_rank_table_checks_int64_range_first():
     with pytest.raises(ResourceLimit, match="int64 limit"):
         rank_table(make_shift(-(10**20)), 0, 2, 0, 2)
     _, _, c0, c1 = perm_box(make_shift(10**6))
-    with pytest.raises(ResourceLimit, match="exceeds grid cap"):
+    with pytest.raises(ResourceLimit, match=r"rank table of \d+ cells exceeds cap 40000000"):
         rank_table(make_shift(10**6), c0, c1, c0, c1)
 
 
