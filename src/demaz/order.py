@@ -4,16 +4,18 @@ Bruhat comparison is pointwise comparison of the rank functions
 s_p(a, b) = #{n >= b : alpha(n) < a}, checked only at the essential cells of
 the smaller side (Fulton's essential set; Bjorner-Brenti, Combinatorics of
 Coxeter Groups, Thm 8.3.7 for the affine symmetric group).  One sweep of
-``essential_cells`` reads those cells of p, with the values of s_p there,
-off the descents of p, and ``perm.eval_s_at`` counts s_q at them: exact
-integer counts, with no rank table and no grid arrays.  Equal sides answer
-at once.  A period-1 left side has all of its cells in its window.  Any
-other is scanned on three zones (``_zones``): the rows where both sides
-follow their left germs, one period deep; the columns where both follow
-their right germs, one period wide; and the cells between.  A failing cell
-of the left zone stands for its diagonal translates, and moves to the
-lowest of them on the square that the grid comparison ``sf_leq_ess``
-scans, so verdict and witness cell are its own.
+p's columns reads those cells off the descents of p and counts s_p and s_q
+there, each side's values below the column kept as the bits of an integer:
+exact counts, with no rank table and no grid arrays.  The least failing
+cell so far drops the rows where no later cell can beat it (see
+``bruhat_leq_witness``).  Equal sides answer at once.  A period-1 left
+side has all of its cells in its window.  Any other is scanned on three
+zones (``_zones``): the rows where both sides follow their left germs, one
+period deep; the columns where both follow their right germs, one period
+wide; and the cells between.  A failing cell of the left zone stands for
+its diagonal translates, and moves to the lowest of them on the square
+that the grid comparison ``sf_leq_ess`` scans, so verdict and witness cell
+are its own.
 
 The weak orders compare inversion sets with the pure-Python sweep of
 ``perm.first_inversion``, q's images negated: it decides the question
@@ -33,7 +35,6 @@ from .perm import (
     _images,
     _preimages,
     eval_s,
-    eval_s_at,
     first_inversion,
     inverse,
     is_affine,
@@ -84,6 +85,29 @@ def scan_region(*boxes: tuple[int, int, int, int]) -> tuple[int, int, tuple[int,
     return r0, r1, (r1 + 2 * d + 1, r1 + d + 1)
 
 
+def _sweep_start(
+    p: Permutation, a0: int, a1: int, b0: int, b1: int, *others: Permutation
+) -> list | None:
+    """After the cell cap, None for an empty rectangle [a0, a1] x [b0, b1],
+    else [img, v0, v1, rows] and an (x, c) for p and each of others: img =
+    alpha_p on [b0 - 1, b1], [v0, v1] the values these and the rows reach,
+    rows their bits, bit i of x set when v0 + i = alpha(n) for an n < b0.
+    Then s(v0 + i, b) = c - b + i + (bits of x from i on) + #{n in [b0, b) :
+    alpha(n) > v1} while x holds the alpha(n), n < b: chi cancels."""
+    cells = max(a1 - a0 + 1, 0) * max(b1 - b0 + 1, 0)
+    _check_cells(f"essential-cell scan [{a0}..{a1}]x[{b0}..{b1}]", cells)
+    if not cells:
+        return None
+    img = _images(p.period, p.lo, p.vals, b0 - 1, b1)
+    v0, v1 = min(a0 - 1, *img), max(a1, *img)
+    out = [img, v0, v1, (2 << (a1 - v0)) - (1 << (a0 - v0))]
+    for f in (p, *others):
+        pre = _preimages(f.period, f.lo, f.vals, v0, v1)
+        out.append(int("".join(["1" if n < b0 else "0" for n in reversed(pre)]), 2))
+        out.append(v0 - v1 - 1 + b0 + eval_s(f, v1 + 1, b0))
+    return out
+
+
 def essential_cells(
     p: Permutation, a0: int, a1: int, b0: int, b1: int
 ) -> list[tuple[int, list[int], list[int]]]:
@@ -97,25 +121,13 @@ def essential_cells(
     a] and [alpha(b - 1) < a], so the cell is essential exactly when alpha(b)
     < a <= alpha(b - 1) and a lies in X_b = {alpha(n) : n < b} while a - 1
     does not.  The sweep keeps X_b on the values [v0, v1] that the rows and
-    columns reach as the bits of an integer x and reads each descent b - 1
-    off it in a few integer operations.  The same bits count s_p(a, b) = chi
-    + a - b + t_p(a, b): t_p(a, b) = #{n < b : alpha(n) >= a} is the number
-    of bits of x from a on, plus the E = t_p(v1 + 1, b0 - 1) integers n <
-    b0 - 1 with alpha(n) > v1, since alpha carries [b0 - 1, b1] into
-    [v0, v1]; one ``eval_s`` gives E."""
-    cells = max(a1 - a0 + 1, 0) * max(b1 - b0 + 1, 0)
-    _check_cells(f"essential-cell scan [{a0}..{a1}]x[{b0}..{b1}]", cells)
-    if not cells:
+    columns reach as the bits of an integer x (``_sweep_start``), reads each
+    descent b - 1 off it in a few integer operations, and counts s_p there
+    from the same bits, as alpha carries [b0 - 1, b1] into [v0, v1]."""
+    start = _sweep_start(p, a0, a1, b0, b1)
+    if start is None:
         return []
-    k, lo, vals = p.period, p.lo, p.vals
-    img = _images(k, lo, vals, b0 - 1, b1)
-    v0, v1 = min(a0 - 1, *img), max(a1, *img)
-    # bit i of x stands for the value v0 + i, set when its preimage is < b
-    pre = _preimages(k, lo, vals, v0, v1)
-    x = int("".join(["1" if n < b0 else "0" for n in reversed(pre)]), 2)
-    rows = (2 << (a1 - v0)) - (1 << (a0 - v0))
-    # s_p(v0 + i, b) = base - b + i + (bits of x from i on): chi cancels
-    base = v0 + eval_s(p, v1 + 1, b0 - 1) - v1 + b0 - 2
+    img, v0, _, rows, x, base = start
     out = []
     for b, up, down in zip(range(b0, b1 + 1), img, islice(img, 1, None)):
         up -= v0
@@ -244,35 +256,61 @@ def bruhat_leq_witness(
     each failing cell with a <= top moves down the diagonal by the multiple
     of K that gives its first translate with both coordinates >= r0, a
     failing cell still past column r1 is dropped, and the least cell left,
-    moved or not, is the witness."""
+    moved or not, is the witness.
+
+    The sweep counts q's values below column b on [v0, v1] as bits and those
+    above as a number, so nothing is sized by q's values.  A failing cell
+    that does not move (a > top, or period 1) is beaten by no later cell on
+    its row or above: they and the rest of its column go.  A moved cell lies
+    below every unmoved one, so the rows above top go, but none <= top: a
+    move can reverse the order of two cells."""
     if p == q:
         return True, None
     r0, r1, far = scan_region(perm_box(p), perm_box(q))
     if p.chi > q.chi:
         return False, far
     if p.period == 1:
-        columns = essential_cells(p, *_region(p, r0, r1))
+        a0, a1, b0, b1 = _region(p, r0, r1)
+        top, k = a0 - 1, 1
     else:
         a0, a1, b0, b1, top, k = _zones(p, q)
-        columns = essential_cells(p, max(a0, r0), min(a1, r1), max(b0, r0), b1)
-    sq = eval_s_at(q, [(b, rows) for b, rows, _ in columns])
-    bad = [
-        (a, b)
-        for (b, rows, sp), tq in zip(columns, sq)
-        for a, x, y in zip(rows, sp, tq)
-        if x > y
-    ]
-    if p.period > 1:
-        cells = []
-        for a, b in bad:
-            if a <= top:
-                j = (min(a, b) - r0) // k * k
-                cells.append((a - j, b - j))
-            elif b <= r1:
-                # past the square's last column: not a cell the grid sees
-                cells.append((a, b))
-        bad = cells
-    return (False, min(bad)) if bad else (True, None)
+        a0, a1, b0 = max(a0, r0), min(a1, r1), max(b0, r0)
+    start = _sweep_start(p, a0, a1, b0, b1, q)
+    if start is None:
+        return True, None
+    img, v0, v1, rows, x, cp, y, cq = start
+    qimg = _images(q.period, q.lo, q.vals, b0, b1)
+    best = None
+    for b, up, down, w in zip(range(b0, b1 + 1), img, islice(img, 1, None), qimg):
+        up -= v0
+        down -= v0
+        m = x & ~(x << 1) & rows & ((2 << up) - (2 << down)) if up > down else 0
+        while m:
+            low = m & -m
+            i = low.bit_length() - 1
+            m ^= low
+            # s_p > s_q at (v0 + i, b): both sides' - b + i cancel
+            if cp + (x >> i).bit_count() <= cq + (y >> i).bit_count():
+                continue
+            a = v0 + i
+            if a > top:
+                if b <= r1:
+                    best, rows = (a, b), rows & (low - 1)
+                break
+            j = (min(a, b) - r0) // k * k
+            if best is None or (a - j, b - j) < best:
+                best = (a - j, b - j)
+                # the cells left above top in this column cannot beat it
+                rows &= (2 << (top - v0)) - 1
+                m &= rows
+        if not rows:
+            break
+        x |= 1 << down
+        if v0 <= w <= v1:
+            y |= 1 << (w - v0)
+        elif w > v1:
+            cq += 1
+    return best is None, best
 
 
 def bruhat_leq(p: Permutation, q: Permutation) -> bool:

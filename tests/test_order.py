@@ -22,6 +22,7 @@ from conftest import (
 
 from demaz import (
     ResidueClass,
+    ResourceLimit,
     apply,
     bruhat_leq,
     bruhat_leq_witness,
@@ -37,6 +38,7 @@ from demaz import (
     make_gamma,
     make_shift,
     make_sigma_set,
+    parse_perm,
     perm_ess_set,
     reduce,
     sf_from_perm,
@@ -48,7 +50,7 @@ from demaz import (
     weak_right_leq,
     weak_right_leq_witness,
 )
-from demaz import order, slipface
+from demaz import order, perm, slipface
 from demaz.cli import main
 from demaz.oracle import sd_leq
 from demaz.perm import is_affine
@@ -59,6 +61,7 @@ def test_bruhat_matches_oracle_s4():
     perms = sd_perms(4)
     for (lu, u), (lv, v) in itertools.product(zip(lines, perms), repeat=2):
         assert bruhat_leq(u, v) == sd_leq(lu, lv), (lu, lv)
+        assert bruhat_leq_witness(u, v) == _witness_by_reference(u, v)[0], (lu, lv)
 
 
 def test_bruhat_witness_is_genuine(rng):
@@ -236,11 +239,11 @@ def test_zone_scan_matches_the_grid_on_many_pairs():
 
 def test_zone_scan_is_bounded_by_its_work(rng, monkeypatch, capsys):
     rects = []
-    real = order.essential_cells
+    real = order._sweep_start
 
-    def recording(p, a0, a1, b0, b1):
+    def recording(p, a0, a1, b0, b1, *others):
         rects.append((a1 - a0 + 1, b1 - b0 + 1))
-        return real(p, a0, a1, b0, b1)
+        return real(p, a0, a1, b0, b1, *others)
 
     def scanned(p, q):
         rects.clear()
@@ -248,7 +251,7 @@ def test_zone_scan_is_bounded_by_its_work(rng, monkeypatch, capsys):
         (rect,) = rects
         return rect
 
-    monkeypatch.setattr(order, "essential_cells", recording)
+    monkeypatch.setattr(order, "_sweep_start", recording)
     checked = 0
     for p, q in _sweep_pairs(rng) + periodic_pairs(rng):
         if p.period == 1 or p == q or p.chi > q.chi:
@@ -272,6 +275,121 @@ def test_zone_scan_is_bounded_by_its_work(rng, monkeypatch, capsys):
         assert main(["compare", "leq", text, text]) == 0
     assert rects == []
     capsys.readouterr()
+
+
+def test_comparison_builds_no_list_sized_by_the_right_side(monkeypatch):
+    """q's values reach 10^20 while p's scan covers four values: every
+    preimage list the comparison builds has p's size.  The verdicts are
+    those of the same pairs with 10^20 scaled down, checked on the grids;
+    the affine side on the left stops at the cell cap before any list."""
+    p = parse_perm("sym(1; 2 1)")
+    for n in (5, 60):
+        for q in (make_shift(n), parse_perm(f"ep(k=2, lo=0; {2 * n} {1 - 2 * n})")):
+            assert bruhat_leq_witness(p, q) == (True, None)
+            assert sf_leq_ess(sf_from_perm(p), sf_from_perm(q)) == (True, None)
+    built = []
+    real = perm._preimages
+
+    def recording(period, lo, vals, a0, a1):
+        out = real(period, lo, vals, a0, a1)
+        built.append(len(out))
+        return out
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "demaz" and hasattr(module, "_preimages"):
+            monkeypatch.setattr(module, "_preimages", recording)
+    # p's scanned columns [0, 3] carry onto [0, 3], and so do its rows
+    span = p.hi - p.lo + 1
+    down = parse_perm("ep(k=1, lo=0; -100000000000000000000 -99999999999999999999)")
+    assert bruhat_leq_witness(p, down) == (True, None)
+    assert bruhat_leq_witness(down, p) == (False, (4 * 10**20 + 9, 3 * 10**20 + 8))
+    # q's values alternate above and below p's: counted, and ignored
+    two_way = parse_perm("ep(k=2, lo=0; 100000000000000000000 -99999999999999999999)")
+    assert two_way.chi == p.chi
+    assert bruhat_leq_witness(p, two_way) == (True, None)
+    with pytest.raises(ResourceLimit, match="^essential-cell scan .* exceeds cap"):
+        bruhat_leq_witness(two_way, p)
+    assert built and max(built) <= span
+
+
+def _witness_by_reference(p, q):
+    """The comparison by its definition on the scanned rectangle: every
+    essential cell of p (``essential_cells``), q counted by ``eval_s``,
+    left-zone cells moved down the diagonal, and the least failing cell.
+    Returns the witness and the failing cells as (cell, moved cell, moved),
+    column by column."""
+    if p == q:
+        return (True, None), []
+    r0, r1, far = order.scan_region(order.perm_box(p), order.perm_box(q))
+    if p.chi > q.chi:
+        return (False, far), []
+    if p.period == 1:
+        a0, a1, b0, b1 = order._region(p, r0, r1)
+        top, k = a0 - 1, 1
+    else:
+        a0, a1, b0, b1, top, k = order._zones(p, q)
+        a0, a1, b0 = max(a0, r0), min(a1, r1), max(b0, r0)
+    failing = []
+    for b, rows, values in order.essential_cells(p, a0, a1, b0, b1):
+        for a, v in zip(rows, values):
+            if v <= eval_s(q, a, b):
+                continue
+            if a <= top:
+                j = (min(a, b) - r0) // k * k
+                failing.append(((a, b), (a - j, b - j), True))
+            elif b <= r1:
+                failing.append(((a, b), (a, b), False))
+    best = min((moved for _, moved, _ in failing), default=None)
+    return (best is None, best), failing
+
+
+def _early_then_lower(failing, best):
+    return any(
+        not m1 and not m2 and c1[1] < c2[1] and c2[0] < c1[0] and c2 == best
+        for (c1, _, m1), (c2, _, m2) in itertools.combinations(failing, 2)
+    )
+
+
+def _two_in_one_row(failing, best):
+    return any(
+        not m1 and not m2 and c1[0] == c2[0] and c1 == best
+        for (c1, _, m1), (c2, _, m2) in itertools.combinations(failing, 2)
+    )
+
+
+def _moved_beats_unmoved(failing, best):
+    return any(
+        not m1 and m2 and c1[1] < c2[1] and d2 == best
+        for (c1, _, m1), (c2, d2, m2) in itertools.combinations(failing, 2)
+    )
+
+
+def _moves_reverse_a_column(failing, best):
+    return any(
+        m1 and m2 and c1[1] == c2[1] and d2 < d1 and best in (d1, d2)
+        for (c1, d1, m1), (c2, d2, m2) in itertools.combinations(failing, 2)
+    )
+
+
+@pytest.mark.parametrize(
+    "left, right, case",
+    [
+        ("ep(k=1, lo=0; 0 3 2 1 4)", "ep(k=1, lo=0; 0)", _early_then_lower),
+        ("ep(k=1, lo=0; 0 4 1 2 5 3 6)", "ep(k=1, lo=2; 2 4 3 5)", _two_in_one_row),
+        ("ep(k=3, lo=0; 4 3 -1)", "ep(k=2, lo=-2; -1 0 2 1)", _moved_beats_unmoved),
+        ("ep(k=2, lo=0; 5 -2)", "ep(k=3, lo=0; 0 -1 4)", _moves_reverse_a_column),
+    ],
+    ids=["early-then-lower", "two-in-one-row", "moved-beats-unmoved",
+         "moves-reverse-a-column"],
+)
+def test_pruned_sweep_keeps_the_witness(left, right, case):
+    """Pairs where a failing cell found first is not the witness: the rows
+    that the sweep drops must never hold it."""
+    p, q = parse_perm(left), parse_perm(right)
+    want, failing = _witness_by_reference(p, q)
+    assert case(failing, want[1])
+    assert bruhat_leq_witness(p, q) == want
+    assert want == sf_leq_ess(sf_from_perm(p), sf_from_perm(q))
 
 
 def test_perm_ess_set_matches_the_grid(rng):
