@@ -37,7 +37,6 @@ _EXPORTS = {
         "delta_s",
         "diff_bound",
         "eval_s",
-        "eval_s_at",
         "from_window",
         "get_max_window",
         "has_inversion",

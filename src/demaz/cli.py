@@ -3,8 +3,8 @@
 Verbs: star|tll|tlr|compose|inverse|compare|ess|inv|render|rankgrid|validate|oracle.
 Results go to standard output, diagnostics to standard error.  Exit codes:
 0 success (or a true comparison), 1 false comparison / failed validation,
-2 parse error, 3 domain error (or a grid verb without numpy installed), 4
-resource cap exceeded.
+2 parse error or a file that cannot be read or written, 3 domain error (or a
+grid verb without numpy installed), 4 resource cap exceeded.
 
 Each verb handler imports the modules it runs, so a call loads only those:
 the permutation verbs never load the slipface grid engine (``slipface``) or
@@ -73,13 +73,22 @@ def _emit_perm(p: Permutation, as_json: bool, extended: bool) -> None:
             raise DemazError("extended check failed: " + bad[0])
 
 
+def _read_text(path: str) -> str:
+    """The text of a grid file; one that is not UTF-8 is a file error, as
+    one that cannot be opened."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise OSError(None, "not UTF-8 text", path) from None
+
+
 def _load_render_arg(arg: str):
     """A slipface from a grid file, else a permutation expression."""
     if os.path.exists(arg):
         from .slipface import read_slipface
 
-        with open(arg, "r", encoding="utf-8") as fh:
-            return read_slipface(fh.read())
+        return read_slipface(_read_text(arg))
     return parse_perm(arg)
 
 
@@ -224,8 +233,12 @@ def _cmd_render(args) -> int:
         raise ParseError(str(e), args.arange, 0)
     text = render(s, spec)
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as e:
+            e.filename = args.output  # a failed write or close names no file
+            raise
     else:
         sys.stdout.write(text)
     return 0
@@ -263,11 +276,8 @@ def _cmd_rankgrid(args) -> int:
 
 def _cmd_validate(args) -> int:
     if os.path.exists(args.a):
-        from .slipface import read_slipface
-
         try:
-            with open(args.a, "r", encoding="utf-8") as fh:
-                read_slipface(fh.read())
+            _load_render_arg(args.a)
         except DemazError as e:
             if isinstance(e, (ParseError, ResourceLimit)):
                 raise
@@ -467,6 +477,12 @@ def main(argv=None) -> int:
     except DemazError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except OSError as e:
+        # a file argument or -o target that cannot be opened, read or written
+        if e.filename is None:
+            raise
+        print(f"file error: {e.filename}: {e.strerror}", file=sys.stderr)
+        return 2
     except ModuleNotFoundError as e:
         # the grid engine's verbs need numpy, an optional extra
         if e.name != "numpy":

@@ -118,7 +118,8 @@ def tlr(p: Permutation, q: Permutation) -> Permutation:
 
 
 # ---------------------------------------------------------------------------
-# generator fast paths
+# products against sigma_S read off p's ascents and descents: slower than
+# star and tll, kept as their independent check
 
 
 def _sigma_of_members(p: Permutation, keep, ref: Permutation) -> Permutation:

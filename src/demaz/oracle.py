@@ -16,6 +16,8 @@ from functools import lru_cache
 from .errors import DemazError, OracleExtremum
 from .perm import (
     Permutation,
+    _check_cells,
+    _check_window,
     apply,
     compose,
     make_from_one_line,
@@ -40,6 +42,7 @@ def oracle_eval_s(p: Permutation, a: int, b: int, scan_radius: int = 256) -> int
     The scan stops at b + scan_radius; a boundary sensitivity check verifies
     that no further n can contribute (alpha(n) >= n - diff_bound).
     """
+    _check_window("oracle scan", scan_radius + 1)
     m = p.diff_bound
     top = b + scan_radius
     if top - m < a or top < p.hi:
@@ -56,6 +59,18 @@ def oracle_eval_s(p: Permutation, a: int, b: int, scan_radius: int = 256) -> int
 
 # ---------------------------------------------------------------------------
 # finite permutations: one-line tuples over [1, d]
+
+
+def _check_sd(d: int, *ps: Permutation) -> None:
+    """Refuse d < 1, a d over the window cap, and an operand outside S_d:
+    one of period 1 and shift 0 that moves some n outside [1, d]."""
+    if d < 1:
+        raise DemazError(f"S_d needs d >= 1, got {d}")
+    _check_window(f"S_{d} one-line", d)
+    for p in ps:
+        window = enumerate(p.vals, p.lo)
+        if p.period != 1 or p.chi != 0 or any(v != n for n, v in window if not 1 <= n <= d):
+            raise DemazError(f"inputs do not lie in the requested finite group S_{d}")
 
 
 def _one_line(p: Permutation, d: int) -> tuple[int, ...]:
@@ -127,9 +142,9 @@ def oracle_star_sd(p: Permutation, q: Permutation, d: int) -> Permutation:
     Multiplies the two rank tables tropically and reads the product
     permutation back off the mixed second difference of the result.
     """
+    _check_sd(d, p, q)
+    _check_cells(f"S_{d} min-plus product", (d + 1) ** 3)
     u, v = _one_line(p, d), _one_line(q, d)
-    if sorted(u) != list(range(1, d + 1)) or sorted(v) != list(range(1, d + 1)):
-        raise DemazError("inputs do not lie in the requested finite group")
     tu, tv = _table(u), _table(v)
     prod = [[0] * (d + 2) for _ in range(d + 2)]
     for a in range(1, d + 2):
@@ -201,6 +216,7 @@ def oracle_greedy_max(p: Permutation, q: Permutation, d: int) -> Permutation:
     """max{ p1 q1 : p1 <= p, q1 <= q } over S_d, by exhaustive enumeration."""
     if d > 6:
         raise DemazError(f"exhaustive S_{d} enumeration refused (d > 6)")
+    _check_sd(d, p, q)
     u, v = _one_line(p, d), _one_line(q, d)
     cands = {
         _compose_lines(p1, q1)
@@ -214,6 +230,7 @@ def oracle_stingy_min(p: Permutation, q: Permutation, d: int) -> Permutation:
     """min{ p1 q1^-1 : p1 >= p, q1 <= q } over S_d, by exhaustive enumeration."""
     if d > 6:
         raise DemazError(f"exhaustive S_{d} enumeration refused (d > 6)")
+    _check_sd(d, p, q)
     u, v = _one_line(p, d), _one_line(q, d)
 
     def inv_line(w: tuple[int, ...]) -> tuple[int, ...]:

@@ -33,8 +33,7 @@ from .perm import (
     Permutation,
     _check_cells,
     _images,
-    _preimages,
-    eval_s,
+    _rank_bits,
     first_inversion,
     inverse,
     is_affine,
@@ -89,11 +88,9 @@ def _sweep_start(
     p: Permutation, a0: int, a1: int, b0: int, b1: int, *others: Permutation
 ) -> list | None:
     """After the cell cap, None for an empty rectangle [a0, a1] x [b0, b1],
-    else [img, v0, v1, rows] and an (x, c) for p and each of others: img =
-    alpha_p on [b0 - 1, b1], [v0, v1] the values these and the rows reach,
-    rows their bits, bit i of x set when v0 + i = alpha(n) for an n < b0.
-    Then s(v0 + i, b) = c - b + i + (bits of x from i on) + #{n in [b0, b) :
-    alpha(n) > v1} while x holds the alpha(n), n < b: chi cancels."""
+    else [img, v0, v1, rows] and the (x, c) of ``perm._rank_bits`` for p and
+    each of others: img = alpha_p on [b0 - 1, b1], [v0, v1] the values these
+    and the rows reach, rows their bits."""
     cells = max(a1 - a0 + 1, 0) * max(b1 - b0 + 1, 0)
     _check_cells(f"essential-cell scan [{a0}..{a1}]x[{b0}..{b1}]", cells)
     if not cells:
@@ -102,9 +99,7 @@ def _sweep_start(
     v0, v1 = min(a0 - 1, *img), max(a1, *img)
     out = [img, v0, v1, (2 << (a1 - v0)) - (1 << (a0 - v0))]
     for f in (p, *others):
-        pre = _preimages(f.period, f.lo, f.vals, v0, v1)
-        out.append(int("".join(["1" if n < b0 else "0" for n in reversed(pre)]), 2))
-        out.append(v0 - v1 - 1 + b0 + eval_s(f, v1 + 1, b0))
+        out += _rank_bits(f, v0, v1, b0)
     return out
 
 

@@ -21,6 +21,8 @@ and a shift
 
 both computed exactly with integer arithmetic (window scan plus closed-form
 arithmetic-progression counts for the tails; no floating point anywhere).
+Sweeps of s_p down a rectangle's columns (``order``, ``render``) start from
+``_rank_bits``.
 
 Permutations are value objects: all public constructors return the canonical
 representative (smallest valid period dividing the given one, smallest window
@@ -40,9 +42,8 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect, bisect_left, insort
+from bisect import bisect
 from contextvars import ContextVar
-from functools import partial
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -68,7 +69,6 @@ __all__ = [
     "compose",
     "shift_of",
     "eval_s",
-    "eval_s_at",
     "delta_s",
     "diff_bound",
     "validate",
@@ -676,57 +676,17 @@ def eval_s(p: Permutation, a: int, b: int) -> int:
     return count
 
 
-def eval_s_at(
-    p: Permutation, columns: Sequence[tuple[int, Sequence[int]]]
-) -> list[list[int]]:
-    """eval_s(p, a, b) for each (b, rows) of columns, b ascending, and each
-    a of rows, rows ascending: one list of counts per column, from one sweep.
-
-    The sweep runs down the columns from the last one, B, to the first,
-    inserting alpha(n) into a sorted list, so at column b it holds alpha(n)
-    for n in [b, B] and a row's count is one bisection.  The n > B add a
-    count per row.  From n0 = max(B, hi) + 1 on the right tail runs through
-    alpha(n0 + i) + kZ for i < k, a complete residue system: it hits every
-    integer from top = max_i alpha(n0 + i) - k + 1 on, and its few values
-    below top join the window's past B in the list; their number, at most
-    the spread of the residue system, is checked against the window cap
-    first.  The left tail's n in (B, lo), if any, are counted class by class
-    in closed form.
-    """
-    if not columns:
-        return []
-    k, lo, vals = p.period, p.lo, p.vals
-    b0, b1 = columns[0][0], columns[-1][0]
-    n0 = max(b1, p.hi) + 1
-    firsts = _images(k, lo, vals, n0, n0 + k - 1)
-    top = max(firsts) - k + 1
-    below = sum((top - u + k - 1) // k for u in firsts)
-    _check_window(f"right-tail list of {p!r}", below)
-    seen = [*vals[max(b1 + 1 - lo, 0) :]]
-    seen += [v for u in firsts for v in range(u, top, k)]
-    seen.sort()
-    count = partial(bisect_left, seen)
-    images = _images(k, lo, vals, b0, b1)
-    out = []
-    n = b1 - b0 + 1
-    for b, rows in reversed(columns):
-        b -= b0
-        for v in images[b:n]:
-            insort(seen, v)
-        n = b
-        out.append(list(map(count, rows)))
-    out.reverse()
-    # the left tail's n = lo + j - k m in (B, lo), m = 1 .. m1, have
-    # alpha(n) = v - k m < a for m from max(1, (v - a) // k + 1) on
-    left = [(v, (lo + j - b1 - 1) // k) for j, v in enumerate(vals[:k])]
-    left = left if b1 + 1 < lo else []
-    if left or max([rows[-1] for _, rows in columns if rows], default=top) > top:
-        for (_, rows), counts in zip(columns, out):
-            for i, a in enumerate(rows):
-                counts[i] += max(0, a - top) + sum(
-                    max(0, m1 - max(1, (v - a) // k + 1) + 1) for v, m1 in left
-                )
-    return out
+def _rank_bits(p: Permutation, v0: int, v1: int, b0: int) -> tuple[int, int]:
+    """(x, c) that start a sweep of s_p down the columns from b0 over the
+    rows [v0, v1]: bit i of x is set when v0 + i = alpha(n) for an n < b0,
+    and s_p(v0 + i, b) = c - b + i + (bits of x from i on) + #{n in [b0, b)
+    : alpha(n) > v1} while x holds the alpha(n), n < b, on the rows.  For
+    s_p(a, b) - #{n < b : alpha(n) >= a} - a + b is constant (a step of a
+    or of b moves one term by one), and eval_s fixes it at (v1 + 1, b0);
+    values below the rows count nowhere."""
+    pre = _preimages(p.period, p.lo, p.vals, v0, v1)
+    x = int("".join(["1" if n < b0 else "0" for n in reversed(pre)]), 2)
+    return x, v0 - v1 - 1 + b0 + eval_s(p, v1 + 1, b0)
 
 
 def delta_s(p: Permutation, a: int, b: int) -> int:

@@ -5,14 +5,15 @@ range; heatmaps paint the raw values over a box.  Output is plain text in
 all three formats (ascii art, ASCII-PGM, SVG with integer coordinates and no
 fonts), so byte equality against golden files is meaningful on every
 platform.  A permutation's slipface is counted on the requested rectangle
-alone, without numpy; a Slipface is read off its grid.
+alone, without numpy, by a sweep of its columns from ``perm._rank_bits``, so
+no list is longer than a side; a Slipface is read off its grid, the reference.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .perm import Permutation, _check_cells, eval_s_at
+from .perm import Permutation, _check_cells, _images, _rank_bits
 
 if TYPE_CHECKING:  # annotations only; the grid engine loads for a Slipface
     from .slipface import Slipface
@@ -63,11 +64,18 @@ class RenderSpec(_Spec):
 def render(s: Slipface | Permutation, spec: RenderSpec) -> str:
     """Render s, a slipface or the slipface s_p of a permutation, on the
     rectangle of spec, whose size is checked before anything is built."""
-    rows = range(spec.a_lo, spec.a_hi + 1)
-    cols = range(spec.b_lo, spec.b_hi + 1)
-    _check_cells("render rectangle", len(rows) * len(cols))
+    v0, v1, b0, b1 = spec.a_lo, spec.a_hi, spec.b_lo, spec.b_hi
+    _check_cells("render rectangle", (v1 - v0 + 1) * (b1 - b0 + 1))
     if isinstance(s, Permutation):
-        g = [list(r) for r in zip(*eval_s_at(s, [(b, rows) for b in cols]))]
+        x, c = _rank_bits(s, v0, v1, b0)
+        cols = []
+        for b, w in zip(range(b0, b1 + 1), _images(s.period, s.lo, s.vals, b0, b1)):
+            cols.append([c - b + i + (x >> i).bit_count() for i in range(v1 - v0 + 1)])
+            if w > v1:
+                c += 1
+            elif w >= v0:
+                x |= 1 << (w - v0)
+        g = [list(r) for r in zip(*cols)]
     else:
         from .slipface import sf_eval_grid
 

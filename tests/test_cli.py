@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ import cli_module_budget
 from conftest import zoo_perm
 
 from demaz import (
+    eval_s,
     make_gamma,
     make_sigma_set,
     parse_perm,
@@ -232,6 +234,51 @@ def test_oracle_verb(capsys):
     assert "engine=2" in out and "oracle=2" in out
 
 
+def test_sd_oracles_refuse_operands_outside_s_d_and_sizes_over_the_caps(capsys):
+    p = "sym(1; 2 1 3 5 4)"
+    code, out, _ = run(capsys, "oracle", "star", p, p, "--d", "5")
+    assert (code, out) == (0, "ep(k=1, lo=0; 0 2 1 3 5 4 6)\n")
+    # p moves 4 and 5; S_0 and S_-3 do not exist
+    for d in ("2", "0", "-3"):
+        code, out, err = run(capsys, "oracle", "star", p, p, "--d", d)
+        assert (code, out) == (3, "") and err.startswith("error: "), d
+    # checked before any list or table is built
+    for argv, what in (
+        (["star", p, p, "--d", str(10**20)], "S_100000000000000000000 one-line"),
+        (["star", p, p, "--d", "500"], "S_500 min-plus product of 125751501 cells"),
+        (["eval", p, "1", "1", "--radius", str(10**20)], "oracle scan"),
+    ):
+        code, out, err = run(capsys, "oracle", *argv)
+        assert (code, out) == (4, "") and err.startswith(f"resource limit: {what} "), err
+
+
+def test_file_errors_name_the_path(capsys, tmp_path):
+    missing = tmp_path / "missing" / "f"
+    code, out, err = run(
+        capsys, "render", "sym(1; 2 1)", "--arange=0:3", "--brange=0:3", "-o", str(missing)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"file error: {missing}: ") and err.count("\n") == 1
+    if os.path.exists("/dev/full"):
+        # opens, then fails to write
+        code, out, err = run(
+            capsys, "render", "sym(1; 2 1)", "--arange=0:3", "--brange=0:3", "-o", "/dev/full"
+        )
+        assert (code, out, err) == (2, "", "file error: /dev/full: No space left on device\n")
+    # a directory, and bytes that are not UTF-8, where a grid file is read
+    binary = tmp_path / "grid.bin"
+    binary.write_bytes(b"\xfb\xff" * 100)
+    for path in (tmp_path, binary):
+        for argv in (
+            ["render", str(path), "--arange=0:3", "--brange=0:3"],
+            ["validate", str(path)],
+            ["rankgrid", "to-perm", str(path)],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith(f"file error: {path}: ") and err.count("\n") == 1
+
+
 def test_extended_checks_flag(capsys):
     code, out, _ = run(capsys, "--extended-checks", "star", "sigma(1)", "sigma(2)")
     assert code == 0
@@ -411,10 +458,15 @@ W0_9500 = "sym(0; " + " ".join(map(str, range(9499, -1, -1))) + ")"
         (["star", "aff(3; 2 -3 4)", W0_9500], 4),
         (["tll", "aff(3; 2 -3 4)", W0_9500], 4),
         (["tlr", W0_9500, "aff(3; 2 -3 4)"], 4),
+        # render rectangles past sys.maxsize cells, refused by the cell cap
+        (["render", "sym(1; 2 1)", "--arange=0:99999999999999999999", "--brange=0:0"],
+         4),
+        (["render", "sym(1; 2 1)", "--arange=0:0",
+          "--brange=-9223372036854775808:9223372036854775807"], 4),
     ],
     ids=["shift-1e6", "shift-1e19", "values-1e20", "5000-digits", "affine-1e20",
          "periodic-ess-over-cap", "factor-word-star", "factor-word-tll",
-         "factor-word-tlr"],
+         "factor-word-tlr", "render-rows-1e20", "render-columns-2e64"],
 )
 def test_huge_inputs_end_in_exit_codes(argv, code):
     src = os.path.dirname(os.path.dirname(demazure.__file__))
@@ -557,7 +609,30 @@ def test_numpy_free_verbs_match_their_goldens():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.endswith("56 of 56 numpy-free CLI goldens match\n")
+    assert proc.stdout.endswith("57 of 57 numpy-free CLI goldens match\n")
+
+
+def test_numpy_free_heatmap_goldens_match_eval_s():
+    # each ascii heatmap of the golden file, one with values near +-10^20,
+    # read back and compared with eval_s pointwise
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "tests", "golden", "numpy_free_cli.txt")) as fh:
+        blocks = fh.read().split("$ ")[1:]
+    seen = []
+    for block in blocks:
+        head, *lines = block.splitlines()
+        argv = shlex.split(head)
+        if argv[0] != "render" or any(a.startswith(("--format", "--mode")) for a in argv):
+            continue
+        p = parse_perm(argv[1])
+        (a0, a1), (b0, b1) = (
+            map(int, a.split("=")[1].split(":")) for a in argv[2:4]
+        )
+        got = [[int(v) for v in line.split("|")[1].split()] for line in lines[1:-1]]
+        want = [[eval_s(p, a, b) for b in range(b0, b1 + 1)] for a in range(a1, a0 - 1, -1)]
+        assert got == want, head
+        seen.append(max(map(max, got)))
+    assert len(seen) == 2 and max(seen) > 10**19
 
 
 @pytest.mark.parametrize("argv, code", cli_module_budget.LIGHT)

@@ -10,7 +10,15 @@ import pytest
 
 from conftest import sd_lines
 
-from demaz import apply, identity, inv_count, make_from_one_line, make_shift
+from demaz import (
+    DemazError,
+    apply,
+    identity,
+    inv_count,
+    make_affine,
+    make_from_one_line,
+    make_shift,
+)
 from demaz.oracle import (
     oracle_eval_s,
     oracle_greedy_max,
@@ -106,6 +114,26 @@ def test_star_length_is_subadditive_with_floor():
             n = inv_count(oracle_star_sd(p, q, 3))
             assert max(inv_count(p), inv_count(q)) <= n
             assert n <= inv_count(p) + inv_count(q)
+
+
+def test_sd_oracles_refuse_operands_outside_s_d():
+    # each operand below moves some n outside [1, 2], or is not finitary
+    w = make_from_one_line((2, 1))
+    outside = [
+        make_from_one_line((2, 1, 3, 5, 4)),
+        make_from_one_line((1, 0), off=0),
+        make_shift(1),
+        make_affine([1, 0], 2),
+    ]
+    for oracle in (oracle_star_sd, oracle_greedy_max, oracle_stingy_min):
+        assert oracle(w, w, 2) in (identity(), w)
+        for bad in outside:
+            for p, q in ((bad, w), (w, bad)):
+                with pytest.raises(DemazError, match="do not lie in .* S_2$"):
+                    oracle(p, q, 2)
+        for d in (0, -3):
+            with pytest.raises(DemazError, match="needs d >= 1"):
+                oracle(identity(), identity(), d)
 
 
 def line_of_sd(p, d):

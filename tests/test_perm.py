@@ -34,7 +34,6 @@ from demaz import (
     diff_bound,
     eval_s,
     essential_cells,
-    eval_s_at,
     from_window,
     get_max_window,
     has_inversion,
@@ -389,39 +388,60 @@ def test_images_and_preimages_match_pointwise(rng):
                 ], (p, span)
 
 
-def test_eval_s_at_matches_eval_s(rng):
+def _rendered_counts(p, a0, a1, b0, b1):
+    """s_p on [a0, a1] x [b0, b1], rows ascending, read back from the
+    values of render's PGM heatmap."""
+    lines = render(p, RenderSpec(a0, a1, b0, b1, fmt="pgm")).splitlines()
+    return [list(map(int, line.split())) for line in reversed(lines[3:])]
+
+
+def test_render_counts_match_eval_s(rng):
     checked = 0
     for p in _counter_pool(rng):
         chi, lo, hi = p.chi, p.lo, p.hi
         # columns across, left of, right of and far from the window; rows
         # near the columns, near the window's values and at +-10^20
         for b0 in (lo - 4, lo - 40, hi + 30, -(10**20), 10**20, lo - 10**6):
-            columns = []
-            for b in range(b0, b0 + 12):
-                if rng.random() < 0.4:
-                    continue
-                near = [b - chi + rng.randint(-15, 15) for _ in range(4)]
-                window = [rng.choice(p.vals) + rng.randint(-2, 2) for _ in range(3)]
-                far = [rng.choice((-1, 1)) * 10**20 + rng.randint(-30, 30)]
-                columns.append((b, sorted(set(near + window + far))))
-            got = eval_s_at(p, columns)
-            assert got == [[eval_s(p, a, b) for a in rows] for b, rows in columns], (
-                p, b0,
-            )
-            checked += sum(map(len, got))
+            b1 = b0 + rng.randint(0, 11)
+            for a0 in (
+                b0 - chi + rng.randint(-15, 5),
+                rng.choice(p.vals) + rng.randint(-4, 2),
+                rng.choice((-1, 1)) * 10**20 + rng.randint(-30, 30),
+            ):
+                a1 = a0 + rng.randint(0, 9)
+                got = _rendered_counts(p, a0, a1, b0, b1)
+                assert got == [
+                    [eval_s(p, a, b) for b in range(b0, b1 + 1)]
+                    for a in range(a0, a1 + 1)
+                ], (p, a0, b0)
+                checked += sum(map(len, got))
     assert checked > 10000
-    assert eval_s_at(identity(), []) == []
 
 
-def test_eval_s_at_caps_the_right_tail():
-    # the right tail's values 2, 4, ..., 2000002 lie below its residue
-    # system's top, one more than the window cap allows
-    p = make_affine([0, 2000003], 2)
-    with pytest.raises(ResourceLimit, match=r"list of .* of 1000001 entries exceeds cap 1000000"):
-        eval_s_at(p, [(0, [0])])
-    assert eval_s_at(make_affine([0, 21], 2), [(0, [0, 5])]) == [
-        [eval_s(make_affine([0, 21], 2), a, 0) for a in (0, 5)]
-    ]
+def test_render_builds_no_list_longer_than_a_side(monkeypatch):
+    """The operand's values reach +-10^20 while the rectangles are 4 x 4 and
+    6 x 3: every image and preimage list that render builds has a side's
+    length, and the counts are eval_s's."""
+    p = make_affine([10**20, 1 - 10**20], 2)
+    built = []
+
+    def recording(real):
+        def spy(period, lo, vals, n0, n1):
+            out = real(period, lo, vals, n0, n1)
+            built.append(len(out))
+            return out
+
+        return spy
+
+    drawing = importlib.import_module("demaz.render")
+    monkeypatch.setattr(perm, "_preimages", recording(perm._preimages))
+    monkeypatch.setattr(drawing, "_images", recording(drawing._images))
+    for a0, a1, b0, b1 in ((0, 3, 0, 3), (10**20 - 3, 10**20 + 2, -1, 1)):
+        built.clear()
+        assert _rendered_counts(p, a0, a1, b0, b1) == [
+            [eval_s(p, a, b) for b in range(b0, b1 + 1)] for a in range(a0, a1 + 1)
+        ]
+        assert sorted(built) == sorted((a1 - a0 + 1, b1 - b0 + 1))
 
 
 def test_inversion_scan_matches_the_per_pair_loops(rng):
@@ -821,9 +841,6 @@ CAPPED = [
      "composition window", 14, "demaz.perm:_images"),
     ("inverse", "window", 5, lambda: partial(inverse, make_gamma(2, 3)),
      "inverse window", 9, "demaz.perm:_preimages"),
-    ("eval-s-at", "window", 9,
-     lambda: partial(eval_s_at, make_affine([0, 21], 2), [(0, [0])]),
-     "right-tail list of ep(k=2, lo=0; 0 21)", 10, "demaz.perm:partial"),
     ("inversion-band", "window", 50, lambda: partial(inversions_in, make_shift(30), 0, 3),
      "inversion band", 64, "demaz.perm:_images"),
     ("product-window", "window", 5,
@@ -843,7 +860,7 @@ CAPPED = [
      lambda: partial(essential_cells, _gamma22(), 0, 9, 0, 9),
      "essential-cell scan [0..9]x[0..9]", 100, "demaz.order:_images"),
     ("render", "cells", 99, lambda: partial(render, _gamma22(), RenderSpec(0, 9, 0, 9)),
-     "render rectangle", 100, "demaz.render:eval_s_at"),
+     "render rectangle", 100, "demaz.render:_rank_bits"),
     ("slipface-grid", "cells", 99,
      lambda: partial(slipface._mk, 0, 1, 1, 0, 0, np.zeros((10, 10))),
      "slipface grid", 100, "demaz.slipface:Slipface"),
