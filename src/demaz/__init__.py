@@ -97,12 +97,11 @@ _EXPORTS = {
         "reduce",
         "reduce_tuple",
         "star",
-        "star_sigma",
         "stingy_witness",
         "tll",
-        "tll_sigma",
         "tlr",
     ),
+    "oracle": ("star_sigma", "tll_sigma"),
     "render": ("RenderSpec", "render"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -48,14 +48,25 @@ def _perm_json(p: Permutation) -> dict:
     }
 
 
+def _stdout(text: str, flush: bool = False) -> None:
+    """Write to standard output; an OSError there names ``<stdout>``."""
+    try:
+        sys.stdout.write(text)
+        if flush:
+            sys.stdout.flush()
+    except OSError as e:
+        e.filename = "<stdout>"
+        raise
+
+
 def _emit(text: str) -> None:
-    sys.stdout.write(text + "\n")
+    _stdout(text + "\n")
 
 
 def _emit_json(obj) -> None:
     import json
 
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+    _emit(json.dumps(obj, sort_keys=True))
 
 
 def _emit_perm(p: Permutation, as_json: bool, extended: bool) -> None:
@@ -240,7 +251,7 @@ def _cmd_render(args) -> int:
             e.filename = args.output  # a failed write or close names no file
             raise
     else:
-        sys.stdout.write(text)
+        _stdout(text)
     return 0
 
 
@@ -254,7 +265,7 @@ def _cmd_rankgrid(args) -> int:
     if args.action == "glue":
         s = _load_slipface_arg(args.file)
         t = _load_slipface_arg(args.file2)
-        sys.stdout.write(write_slipface(sf_star(s, t)))
+        _stdout(write_slipface(sf_star(s, t)))
         return 0
     # dim: transmission-permutation dimension count g - #Inv
     s = _load_slipface_arg(args.file)
@@ -467,7 +478,9 @@ def main(argv=None) -> int:
     if args.max_window is not None:
         set_max_window(args.max_window)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        _stdout("", flush=True)
+        return code
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
@@ -478,7 +491,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except OSError as e:
-        # a file argument or -o target that cannot be opened, read or written
+        # a file argument, -o target or standard output that cannot be
+        # opened, read or written
         if e.filename is None:
             raise
         print(f"file error: {e.filename}: {e.strerror}", file=sys.stderr)
@@ -500,7 +514,14 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # main has reported the failed write; the bytes still buffered would
+        # fail again in the interpreter's exit flush, which exits 120
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

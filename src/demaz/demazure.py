@@ -17,9 +17,7 @@ by one of two routes:
   of the operands truncated to finitary permutations around the windows.
 
 The slipface grid engine and reconstruction, ``grid_product``, computes
-every pair too, as the reference.  Generator inputs (disjoint adjacent
-transpositions) additionally have direct paths, ``star_sigma`` and
-``tll_sigma``, which are kept as an independent cross-check.
+every pair too, as the reference.
 
 A pair (a, b) is reduced when Inv(a) and Inv(b^-1) are disjoint, exactly
 when star(a, b) equals compose(a, b); ``perm.first_inversion`` sweeps for
@@ -32,22 +30,18 @@ certified witnesses.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from . import finitary
 from .errors import InternalInconsistency, InvalidGeneratorSet, NotDominated
 from .perm import (
     Permutation,
-    ResidueClass,
-    apply,
     compose,
     first_inversion,
     from_window,
     identity,
     inverse,
     is_affine,
-    make_sigma_set,
 )
 from .order import bruhat_leq_witness, leq_chi
 
@@ -55,8 +49,6 @@ __all__ = [
     "star",
     "tll",
     "tlr",
-    "star_sigma",
-    "tll_sigma",
     "is_reduced_pair",
     "is_reduced_pair_witness",
     "greedy_witness",
@@ -115,69 +107,6 @@ def tll(p: Permutation, q: Permutation) -> Permutation:
 def tlr(p: Permutation, q: Permutation) -> Permutation:
     """Stingy right adjoint; tlr(inverse(p), q) = min{r : star(p, r) >= q}."""
     return _product("tlr", p, q)
-
-
-# ---------------------------------------------------------------------------
-# products against sigma_S read off p's ascents and descents: slower than
-# star and tll, kept as their independent check
-
-
-def _sigma_of_members(p: Permutation, keep, ref: Permutation) -> Permutation:
-    """Build the disjoint-transposition permutation swapping n, n+1 for the
-    n where keep(n) holds.  keep must be eventually periodic with period
-    dividing ref's period times p's period; the window is sized so both
-    tails show a full period and no swap straddles an edge."""
-    k = math.lcm(p.period, ref.period)
-    lo = min(p.lo, ref.lo) - k - 2
-    hi = max(p.hi, ref.hi) + k + 2
-    if keep(lo - 1):
-        lo -= 1
-    if keep(hi):
-        hi += 1
-    vals = []
-    for n in range(lo, hi + 1):
-        if keep(n):
-            vals.append(n + 1)
-        elif keep(n - 1):
-            vals.append(n - 1)
-        else:
-            vals.append(n)
-    return from_window(k, lo, vals)
-
-
-def _split_sigma(p: Permutation, s) -> tuple[Permutation, Permutation]:
-    """(sigma_S1, sigma_S2): the ascent part and descent part of sigma_S
-    relative to p, where S1 = {n in S : p(n) < p(n+1)}."""
-    sig = make_sigma_set(s)  # validates admissibility
-    if isinstance(s, ResidueClass):
-        member = lambda n: n in s
-    else:
-        fixed = frozenset(int(n) for n in s)
-        member = lambda n: n in fixed
-
-    def asc(n):
-        return member(n) and apply(p, n) < apply(p, n + 1)
-
-    def desc(n):
-        return member(n) and apply(p, n) > apply(p, n + 1)
-
-    return _sigma_of_members(p, asc, sig), _sigma_of_members(p, desc, sig)
-
-
-def star_sigma(p: Permutation, s) -> Permutation:
-    """star against sigma_S without the grid engine: keep only the ascents.
-
-    s is a finite collection of integers with no two consecutive, or a
-    ResidueClass of modulus >= 2.
-    """
-    s1, _ = _split_sigma(p, s)
-    return compose(p, s1)
-
-
-def tll_sigma(p: Permutation, s) -> Permutation:
-    """tll against sigma_S without the grid engine: keep only the descents."""
-    _, s2 = _split_sigma(p, s)
-    return compose(p, s2)
 
 
 # ---------------------------------------------------------------------------

@@ -47,10 +47,7 @@ from .perm import Permutation, from_window, is_affine
 from .perm import _check_cells, _check_window, _images, _inversions, _preimages
 from .perm import _period_inverse
 
-__all__ = [
-    "is_affine",
-    "affine_product",
-]
+__all__ = ["affine_product"]
 
 # (period, lo, vals, add): n -> alpha(n) + add, alpha given by window fields
 _Factor = tuple[int, int, tuple[int, ...], int]

@@ -5,21 +5,27 @@ Python loops: literal counting for the rank function, a naive min-plus matrix
 product for Demazure products of finite permutations, a fold of the one-step
 recurrence for products of adjacent transpositions, and exhaustive search over
 S_d for the greedy/stingy extremal characterizations.  None of it shares code
-with the slipface engine; that independence is the point.
+with the slipface engine; that independence is the point.  Generator inputs
+(disjoint adjacent transpositions) have direct paths, ``star_sigma`` and
+``tll_sigma``, which are kept as an independent cross-check of the word
+folds.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 from .errors import DemazError, OracleExtremum
 from .perm import (
     Permutation,
+    ResidueClass,
     _check_cells,
     _check_window,
     apply,
     compose,
+    from_window,
     make_from_one_line,
     make_sigma_set,
 )
@@ -33,6 +39,8 @@ __all__ = [
     "sd_elements",
     "sd_table",
     "sd_leq",
+    "star_sigma",
+    "tll_sigma",
 ]
 
 
@@ -245,3 +253,66 @@ def oracle_stingy_min(p: Permutation, q: Permutation, d: int) -> Permutation:
         for q1 in _downset(v, d)
     }
     return make_from_one_line(list(_unique_extremum(cands, d, want_max=False)))
+
+
+# ---------------------------------------------------------------------------
+# products against sigma_S read off p's ascents and descents: slower than
+# star and tll, kept as their independent check
+
+
+def _sigma_of_members(p: Permutation, keep, ref: Permutation) -> Permutation:
+    """Build the disjoint-transposition permutation swapping n, n+1 for the
+    n where keep(n) holds.  keep must be eventually periodic with period
+    dividing ref's period times p's period; the window is sized so both
+    tails show a full period and no swap straddles an edge."""
+    k = math.lcm(p.period, ref.period)
+    lo = min(p.lo, ref.lo) - k - 2
+    hi = max(p.hi, ref.hi) + k + 2
+    if keep(lo - 1):
+        lo -= 1
+    if keep(hi):
+        hi += 1
+    vals = []
+    for n in range(lo, hi + 1):
+        if keep(n):
+            vals.append(n + 1)
+        elif keep(n - 1):
+            vals.append(n - 1)
+        else:
+            vals.append(n)
+    return from_window(k, lo, vals)
+
+
+def _split_sigma(p: Permutation, s) -> tuple[Permutation, Permutation]:
+    """(sigma_S1, sigma_S2): the ascent part and descent part of sigma_S
+    relative to p, where S1 = {n in S : p(n) < p(n+1)}."""
+    sig = make_sigma_set(s)  # validates admissibility
+    if isinstance(s, ResidueClass):
+        member = lambda n: n in s
+    else:
+        fixed = frozenset(int(n) for n in s)
+        member = lambda n: n in fixed
+
+    def asc(n):
+        return member(n) and apply(p, n) < apply(p, n + 1)
+
+    def desc(n):
+        return member(n) and apply(p, n) > apply(p, n + 1)
+
+    return _sigma_of_members(p, asc, sig), _sigma_of_members(p, desc, sig)
+
+
+def star_sigma(p: Permutation, s) -> Permutation:
+    """star against sigma_S without the grid engine: keep only the ascents.
+
+    s is a finite collection of integers with no two consecutive, or a
+    ResidueClass of modulus >= 2.
+    """
+    s1, _ = _split_sigma(p, s)
+    return compose(p, s1)
+
+
+def tll_sigma(p: Permutation, s) -> Permutation:
+    """tll against sigma_S without the grid engine: keep only the descents."""
+    _, s2 = _split_sigma(p, s)
+    return compose(p, s2)

@@ -53,9 +53,12 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(skip)
 
 
+SEED = 0xD380AC
+
+
 @pytest.fixture
 def rng():
-    return random.Random(0xD380AC)
+    return random.Random(SEED)
 
 
 @pytest.fixture

@@ -279,6 +279,28 @@ def test_file_errors_name_the_path(capsys, tmp_path):
             assert err.startswith(f"file error: {path}: ") and err.count("\n") == 1
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_unwritable_stdout_is_a_file_error():
+    # a short result waits in the buffer until main flushes it, a long one
+    # fails in the write itself; the interpreter's exit flush adds nothing
+    src = os.path.dirname(os.path.dirname(demazure.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (
+        ["star", "sym(1; 2 1)", "sym(1; 2 1)"],
+        ["render", "sym(1; 2 1)", "--arange=0:3", "--brange=0:3"],
+        ["render", "sym(1; 2 1)", "--arange=0:200", "--brange=0:200"],
+        ["--json", "ess", "gamma(3,5)"],
+    ):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "demaz", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        assert (proc.returncode, proc.stderr) == (
+            2, "file error: <stdout>: No space left on device\n"
+        ), argv
+
+
 def test_extended_checks_flag(capsys):
     code, out, _ = run(capsys, "--extended-checks", "star", "sigma(1)", "sigma(2)")
     assert code == 0

@@ -4,38 +4,14 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from demaz import (
-    apply,
-    bruhat_leq,
-    compose,
-    delta_s,
-    eval_s,
-    format_perm,
-    from_window,
-    identity,
-    inv_count,
-    inverse,
-    is_finitary,
-    is_reduced_pair,
-    make_affine,
-    make_from_one_line,
-    make_gamma,
-    make_shift,
-    parse_perm,
-    read_slipface,
-    sf_from_perm,
-    sf_leq_ess,
-    sf_leq_grid,
-    sf_to_perm,
-    shift_of,
-    star,
-    tll,
-    tlr,
-    weak_left_leq,
-    write_slipface,
+    apply, bruhat_leq, compose, delta_s, eval_s, format_perm, from_window, identity,
+    inv_count, inverse, is_finitary, is_reduced_pair, make_affine, make_from_one_line,
+    make_gamma, make_shift, parse_perm, read_slipface, sf_from_perm, sf_leq_ess,
+    sf_leq_grid, sf_to_perm, shift_of, star, tll, weak_left_leq, write_slipface,
 )
-from demaz.demazure import grid_product
 
 from conftest import translated
+from test_finitary import check_products
 
 one_line = (
     st.integers(2, 5)
@@ -190,10 +166,9 @@ def test_star_monotone_both_sides(p, q, r):
 
 @given(mixed_tails, st.one_of(mixed_tails, perms), st.booleans())
 @settings(deadline=None)
-def test_stitched_fold_equals_the_grid(m, other, flip):
+def test_mixed_tail_products_agree(m, other, flip):
     p, q = (other, m) if flip else (m, other)
-    for kind, fast in (("star", star), ("tll", tll), ("tlr", tlr)):
-        assert fast(p, q) == grid_product(kind, p, q), kind
+    assert all(check_products(p, q).values())
 
 
 finitary_factors = st.tuples(
@@ -213,10 +188,9 @@ partners = st.one_of(
 @given(finitary_factors, partners, st.sampled_from([0, 0, 10**4, -(10**4) - 7]),
        st.booleans())
 @settings(deadline=None, max_examples=100)
-def test_finitary_factor_equals_the_periodized_fold(f, other, off, flip):
+def test_finitary_factor_products_agree(f, other, off, flip):
     # a finitary factor, or with f on the side whose word is not folded, the
     # germ folds and a finitary middle; the grid conjugates the windows to 0
     f, other = translated(f, off), translated(other, off)
     p, q = (other, f) if flip else (f, other)
-    for kind, fast in (("star", star), ("tll", tll), ("tlr", tlr)):
-        assert fast(p, q) == grid_product(kind, p, q), kind
+    assert all(check_products(p, q).values())
