@@ -11,10 +11,11 @@ family; for two period-1 operands, Bruhat comparison both ways against the
 grid's verdict and witness cell.  A kind that no reference reaches is
 checked by its mirror and adjoint identities alone, and reported.
 
-``ROWS`` is the one table of inputs, grouped by the route the products
-take: each row names a family of pairs, its seed, and the kinds that no
-reference independent of the fold reaches on some pair (``unchecked``).
-New families and new references plug in there.
+``TABLE`` is the one table of inputs, grouped by the route the products
+take.  Each entry is one test of ``check_products``, with a case per row
+unless it holds one row without an id; each row names a family of pairs,
+its seed, and the kinds that no reference independent of the fold reaches
+on some pair (``unchecked``).  New families and references plug in there.
 
 The other tests assert more than agreement: spies on the fold sizes and
 on the grid, the certificates and size caps made to fire, associativity
@@ -421,76 +422,82 @@ def factor_s80_against_affines_and_mixed_tails(rng, k):
 
 
 # ---------------------------------------------------------------------------
-# the table: one row per family, its arguments and seed, and the kinds that
-# no reference independent of the fold reaches on some pair of it
+# the table of input families, each entry a test (see the module docstring)
 
 
-def row(name, family, *args, seed=SEED, unchecked="", extended=False):
+def row(family, *args, seed=SEED, id=None, unchecked="", extended=False):
     pairs = lambda: family(random.Random(seed), *args)
-    return pytest.param(pairs, unchecked, id=name, marks=pytest.mark.extended if extended else ())
+    marks = pytest.mark.extended if extended else ()
+    return pytest.param(pairs, unchecked, id=None if id is None else str(id), marks=marks)
+
+
+def agreement_test(rows):
+    def test(pairs, unchecked):
+        ran = [check_products(p, q, *kinds) for p, q, *kinds in pairs()]
+        assert {kind for refs in ran for kind in refs if not refs[kind]} == set(unchecked.split())
+    if len(rows) > 1 or rows[0].id is not None:
+        return pytest.mark.parametrize("pairs, unchecked", rows)(test)
+    plain = lambda: test(*rows[0].values)
+    plain.pytestmark = list(rows[0].marks)
+    return plain
 
 
 FAR = (10**4, -(10**4) - 7)
-ROWS = [
+TABLE = {
     # period-1 pairs
-    row("zoo-finitary-members", zoo_finitary_members),
-    *(row(f"random-s{d}", random_sd, *[d] * (2 if d > 20 else 4), seed=d)
-      for d in (1, 2, 3, 5, 8, 13, 21, 30)),
-    row("extremal-s4-s5", random_sd, *[4] * 25, *[5] * 6),
-    *(row(f"windows-near-{off}", windows_far_from_zero, off) for off in FAR),
-    row("windows-10000-apart", far_apart, unchecked="tll tlr"),
-    *(row(f"large-shifts-{a}-{b}", large_shifts, a, b)
-      for a, b in ((50, 0), (0, -50), (-50, 50), (23, -41))),
-    *(row(f"two-block-{m}-{n}", two_block_shuffles, m, n)
-      for m, n in ((0, 3), (4, 1), (2, 7), (6, 0), (3, 5))),
+    "test_zoo_finitary_members_agree": [row(zoo_finitary_members)],
+    "test_random_sd_agree_with_grid_and_oracle_star_sd": [
+        row(random_sd, *[d] * (2 if d > 20 else 4), seed=d, id=d)
+        for d in (1, 2, 3, 5, 8, 13, 21, 30)],
+    "test_extremal_oracles_s4_s5": [row(random_sd, *[4] * 25, *[5] * 6)],
+    "test_windows_far_from_zero": [row(windows_far_from_zero, off, id=off) for off in FAR],
+    "test_far_apart_operands_against_word_and_sigma_oracles": [row(far_apart, unchecked="tll tlr")],
+    "test_large_shifts": [row(large_shifts, a, b, id=f"{a}-{b}")
+                          for a, b in ((50, 0), (0, -50), (-50, 50), (23, -41))],
+    "test_unequal_two_block_shuffles": [row(two_block_shuffles, m, n, id=f"{m}-{n}")
+                                        for m, n in ((0, 3), (4, 1), (2, 7), (6, 0), (3, 5))],
     # globally periodic pairs
-    row("random-affines", random_affines),
-    row("coprime-and-transposition-families", coprime_and_transposition_families),
-    *(row(f"shifts-on-either-side-{chi}", shifts_on_either_side, chi)
-      for chi in (50, -50, 17, -33)),
-    row("pure-shifts-against-affines", pure_shifts_against_affines),
+    "test_random_affines_agree_with_grid": [row(random_affines)],
+    "test_coprime_and_transposition_family_pairs": [row(coprime_and_transposition_families)],
+    "test_shifts_on_either_side": [
+        row(shifts_on_either_side, chi, id=chi) for chi in (50, -50, 17, -33)],
+    "test_pure_shifts_against_affines": [row(pure_shifts_against_affines)],
     # germs and a finitary middle, equal tails
-    row("equal-tail-zoo-pairs", equal_tail_zoo_pairs),
-    row("coprime-periods-with-sd", coprime_periods_with_sd),
-    *(row(f"equal-tail-large-shifts-{chi}", equal_tail_large_shifts, chi)
-      for chi in (50, -50, 31)),
-    *(row(f"equal-tail-windows-near-{off}", equal_tail_windows_far_from_zero, off)
-      for off in (10**4, -(10**4) - 5)),
-    row("large-diff-bound", large_diff_bound),
-    *(row(f"shifted-pair-{chi}", lambda rng, chi: [shifted_pair(chi)], chi)
-      for chi in SHIFTED_LEFT),
-    *(row(f"counter-shifted-pair-{chi}", lambda rng, chi: [counter_shifted_pair(chi)], chi)
-      for chi in (3, 10)),
+    "test_equal_tail_zoo_pairs_agree_with_grid": [row(equal_tail_zoo_pairs)],
+    "test_equal_tail_coprime_periods_with_sd": [row(coprime_periods_with_sd)],
+    "test_equal_tail_large_shifts": [
+        row(equal_tail_large_shifts, chi, id=chi) for chi in (50, -50, 31)],
+    "test_equal_tail_windows_far_from_zero": [
+        row(equal_tail_windows_far_from_zero, off, id=off) for off in (10**4, -(10**4) - 5)],
+    "test_equal_tail_large_diff_bound": [row(large_diff_bound)],
+    "test_shifted_equal_tail_pairs_agree_with_grid": [
+        row(lambda rng, chi: [shifted_pair(chi)], chi, id=chi) for chi in SHIFTED_LEFT],
+    "test_counter_shifted_pairs_agree_with_grid": [
+        row(lambda rng, chi: [counter_shifted_pair(chi)], chi, id=chi) for chi in (3, 10)],
     # germs and a finitary middle, mixed tails
-    row("mixed-tail-pairs", mixed_tail_pairs),
-    row("inverted-and-shifted-mixed-tails", inverted_and_shifted_mixed_tails),
-    *(row(f"sd-middles-over-period-{k}-germs", sd_middles, k, seed=k) for k in (2, 3)),
-    *(row(f"s80-middles-over-period-{k}-germs", s80_middles, k, seed=80 + k, extended=True)
-      for k in (2, 3)),
-    row("affine-over-s40-middles", lambda rng: [affine_over_sym(40)]),
-    row("affine-over-s100-middles", lambda rng: [affine_over_sym(100)], extended=True),
-    row("germ-route-5000", germ_route, seed=18, extended=True),
+    "test_mixed_tail_pairs_agree_with_grid": [row(mixed_tail_pairs)],
+    "test_inverted_and_shifted_mixed_tails_agree_with_grid": [
+        row(inverted_and_shifted_mixed_tails)],
+    "test_sd_middles_over_periodic_germs_agree_with_grid": [
+        row(sd_middles, k, seed=k, id=f"period-{k}") for k in (2, 3)],
+    "test_s80_middles_over_periodic_germs_agree_with_grid": [
+        row(s80_middles, k, seed=80 + k, id=f"period-{k}", extended=True) for k in (2, 3)],
+    "test_affine_over_sym_middles_agree_with_grid": [row(lambda rng: [affine_over_sym(40)])],
+    "test_affine_over_s100_middles_agree_with_grid": [
+        row(lambda rng: [affine_over_sym(100)], extended=True)],
+    "test_germ_route_against_the_grid": [row(germ_route, seed=18, extended=True)],
     # finitary factors
-    row("factor-zoo-against-sym", factor_zoo_against_sym),
-    row("factor-mixed-tails-against-sym", factor_mixed_tails_against_sym),
-    *(row(f"factor-s40-against-affines-{k}", factor_s40_against_affines, k, seed=40 + k)
-      for k in (2, 3, 5, 7)),
-    *(row(f"factor-windows-near-{off}", factor_windows_far_from_zero, off) for off in FAR),
-    *(row(f"factor-s80-against-affines-and-mixed-tails-{k}",
-          factor_s80_against_affines_and_mixed_tails, k, seed=80 + k, extended=True)
-      for k in (2, 3, 5, 7)),
-]
-
-
-@pytest.mark.parametrize("pairs, unchecked", ROWS)
-def test_products_agree(pairs, unchecked):
-    refs, missing = {kind: set() for kind in FAST}, set()
-    for p, q, *kinds in pairs():
-        for kind, names in check_products(p, q, *kinds).items():
-            refs[kind].update(names)
-            if not names:
-                missing.add(kind)
-    assert missing == set(unchecked.split()), refs
+    "test_finitary_factor_zoo_against_sym": [row(factor_zoo_against_sym)],
+    "test_finitary_factor_mixed_tails_against_sym": [row(factor_mixed_tails_against_sym)],
+    "test_finitary_factor_s40_against_affines": [
+        row(factor_s40_against_affines, k, seed=40 + k, id=k) for k in (2, 3, 5, 7)],
+    "test_finitary_factor_windows_far_from_zero": [
+        row(factor_windows_far_from_zero, off, id=off) for off in FAR],
+    "test_s80_finitary_factor_against_affines_and_mixed_tails": [
+        row(factor_s80_against_affines_and_mixed_tails, k, seed=80 + k, id=k, extended=True)
+        for k in (2, 3, 5, 7)],
+}
+globals().update((name, agreement_test(rows)) for name, rows in TABLE.items())
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +509,6 @@ def test_far_witness_when_left_shift_is_larger(rng):
     ok, wit = bruhat_leq_witness(p, q)
     assert not ok and wit is not None
     assert (ok, wit) == sf_leq_ess(sf_from_perm(p), sf_from_perm(q))
-
 
 
 def test_finitary_operations_build_no_grid(rng):
@@ -752,7 +758,6 @@ def test_has_equal_tails_classifies_the_operands(rng):
         assert left != right and left.chi == right.chi == m.chi, m
 
 
-
 # ---------------------------------------------------------------------------
 # germs and a finitary middle: operands with equal tails, not both globally
 # periodic
@@ -778,7 +783,6 @@ def test_middle_fold_ignores_the_shifts(monkeypatch):
             if chi == 0:
                 m0 = sizes[1]
             assert sizes[1] == m0, (chi, sizes, m0)
-
 
 
 def test_counter_shifted_pairs_fold_their_shift_0_factor(monkeypatch):
@@ -915,7 +919,6 @@ def test_affine_fold_checks_both_operands_before_numpy(monkeypatch):
         assert fast(make_shift(1), huge) == from_window(2, 0, [-1, 10**20])
 
 
-
 # ---------------------------------------------------------------------------
 # germs and a finitary middle: a mixed-tail operand, whose germs differ
 
@@ -948,7 +951,6 @@ def test_globally_periodic_operands_add_no_window():
             assert all(check_products(x, y).values())
 
 
-
 @pytest.mark.parametrize("n", [800, 1600])
 def test_affine_over_sym_middles_answer_within_the_caps(n):
     a, b = affine_over_sym(n)
@@ -957,7 +959,6 @@ def test_affine_over_sym_middles_answer_within_the_caps(n):
     if n == 800:
         # reduce re-derives the product from tll and tlr and certifies it
         reduce(a, b, results[0])
-
 
 
 def test_closed_windows_are_capped_before_they_are_built(rng, monkeypatch, max_window):
