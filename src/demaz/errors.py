@@ -36,51 +36,39 @@ class ParseError(DemazError):
         self.pos = pos
 
 
-class NotSubmodular(DemazError):
+class _WitnessError(DemazError):
+    """An error that may carry a witness cell (a, b), named in its message."""
+
+    def __init__(self, message: str, cell=None):
+        super().__init__(f"{message} (witness cell {cell})" if cell else message)
+        self.cell = cell
+
+
+class NotSubmodular(_WitnessError):
     """A slipface has a negative mixed second difference somewhere.
 
     ``cell`` is a witness (a, b) with Delta s(a, b) < 0.
     """
 
-    def __init__(self, message: str, cell=None):
-        super().__init__(f"{message} (witness cell {cell})" if cell else message)
-        self.cell = cell
 
-
-class NotASlipface(DemazError):
+class NotASlipface(_WitnessError):
     """Grid data violates the unit-step axioms; carries a witness cell."""
 
-    def __init__(self, message: str, cell=None):
-        super().__init__(f"{message} (witness cell {cell})" if cell else message)
-        self.cell = cell
 
-
-class AsymptoteMismatch(DemazError):
+class AsymptoteMismatch(_WitnessError):
     """Rank grid frame disagrees with the required asymptote values."""
 
-    def __init__(self, message: str, cell=None):
-        super().__init__(f"{message} (witness cell {cell})" if cell else message)
-        self.cell = cell
 
-
-class InconsistentSlipface(DemazError):
+class InconsistentSlipface(_WitnessError):
     """A slipface does not come from any representable permutation."""
-
-    def __init__(self, message: str, cell=None):
-        super().__init__(f"{message} (witness cell {cell})" if cell else message)
-        self.cell = cell
 
 
 class ClosureVerification(DemazError):
     """A computed slipface left its proven band or failed validation."""
 
 
-class NotDominated(DemazError):
+class NotDominated(_WitnessError):
     """Reduction target is not below the Demazure product; carries a witness."""
-
-    def __init__(self, message: str, cell=None):
-        super().__init__(f"{message} (witness cell {cell})" if cell else message)
-        self.cell = cell
 
 
 class InfiniteInversions(DemazError):

@@ -140,13 +140,7 @@ def _fold_word(arr: list[int], word: list[int], ascents: bool) -> int:
 
 def _affine_fold(x: list[int], v: list[int], ascents: bool) -> list[int]:
     """One period of star(x, v) when ascents, else of tll(x, v), for one
-    period [0, k) of two k-periodic permutations."""
-    k = len(x)
-    # v = T_s v' with T_s: n -> n - s of length 0 and v' of shift 0, so
-    # star(x, v) = star(x T_s, v'), and the same for tll
-    s = (k * (k - 1) // 2 - sum(v)) // k
-    arr = [x[(n - s) % k] + n - s - (n - s) % k for n in range(k)] if s else list(x)
-    v = [a + s for a in v] if s else v
+    period [0, k) of two k-periodic permutations of shift 0."""
     length = _affine_length(v)
     # the insertion sort moves one slice entry per letter, in the wrap loop
     # too, and the fold reads each letter once: the cap on the letters
@@ -158,6 +152,7 @@ def _affine_fold(x: list[int], v: list[int], ascents: bool) -> list[int]:
             f"affine fold word has {len(word)} letters, the operand has "
             f"length {length}"
         )
+    arr = list(x)
     before = _affine_length(arr)
     kept = _fold_word(arr, word, ascents)
     after = _affine_length(arr)
@@ -189,8 +184,8 @@ def affine_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
       other's period and tails (see "Finitary factor" after step 6);
     - germs and a finitary middle: the others, tll with a period-1 left
       operand and tlr with a period-1 right one among them (they have no
-      such identity).  Two globally periodic operands fold on one period
-      [0, K) as they are, K the lcm of the periods.
+      such identity).  Two globally periodic operands fold their shift-0
+      factors (below) on one period [0, K), K the lcm of the periods.
 
     With T_chi: n -> n - chi, p = T_u p' and q = q' T_w for u = chi_p and w
     = chi_q: the factors p'(n) = p(n) + u and q'(n) = q(n + w) have shift
@@ -212,8 +207,7 @@ def affine_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
     0. s_{T_chi f}(a, b) = s_f(a + chi, b) and s_{f T_chi}(a, b) = s_f(a,
        b - chi), and t likewise, so each optimum in 1 commutes with the
        factoring: kind(p, q) = T_u r' T_w.  Below, p and q stand for p'
-       and q'.  ``_affine_fold`` moves its word operand's shift the same
-       way before it spells the word.
+       and q'.
     1. Each kind is an optimum over l: star min s_p(a, l) + s_q(l, b), tll
        max s_p(a, l) - t_q(l, b), tlr max s_q(l, b) - t_p(a, l).  A step
        l -> l + 1 changes the term by [q^-1(l) >= b] - [p(l) < a],
@@ -396,10 +390,10 @@ def _germ_product(kind: str, p: Permutation, q: Permutation) -> Permutation:
     u, w = p.chi, q.chi
     # the windows of the factors p'(n) = p(n) + u and q'(n) = q(n + w)
     bent = [(f.lo - s, f.hi - s) for f, s in ((p, 0), (q, w)) if not is_affine(f)]
-    if not bent:
-        x, v = (_images(f.period, f.lo, f.vals, 0, k - 1) for f in (p, q))
-        return from_window(k, 0, _fold_kind(kind, x, v))
     fp, fq = (p.period, p.lo, p.vals, u), (q.period, q.lo - w, q.vals, 0)
+    if not bent:
+        r = _fold_kind(kind, _values(fp, 0, k), _values(fq, 0, k))
+        return from_window(k, w, [a - u for a in r])
     dp, dq = (max(abs(a + add - n) for n, a in enumerate(vals, lo))
               for _, lo, vals, add in (fp, fq))
     d = max(dp, dq)

@@ -37,7 +37,6 @@ __all__ = [
     "oracle_greedy_max",
     "oracle_stingy_min",
     "sd_elements",
-    "sd_table",
     "sd_leq",
     "star_sigma",
     "tll_sigma",
@@ -115,10 +114,6 @@ def sd_elements(d: int) -> list[tuple[int, ...]]:
 @lru_cache(maxsize=8)
 def _sd_tables(d: int) -> dict[tuple[int, ...], list[list[int]]]:
     return {w: _table(w) for w in sd_elements(d)}
-
-
-def sd_table(line: tuple[int, ...]) -> list[list[int]]:
-    return _table(line)
 
 
 def sd_leq(u: tuple[int, ...], v: tuple[int, ...]) -> bool:

@@ -530,21 +530,8 @@ def _min_plus(S: np.ndarray, T: np.ndarray) -> np.ndarray:
     return out
 
 
-def _max_minus(S: np.ndarray, Td: np.ndarray) -> np.ndarray:
-    import numpy as np
-    # out[a, b] = max_l S[a, l] - Td[b, l]
-    nA, nL = S.shape
-    nB = Td.shape[0]
-    out = np.full((nA, nB), np.iinfo(np.int64).min // 4, dtype=np.int64)
-    step = max(1, 4_000_000 // max(1, nA * nB))
-    for i in range(0, nL, step):
-        blk = S[:, i : i + step, None] - Td.T[None, i : i + step, :]
-        np.maximum(out, blk.max(axis=1), out=out)
-    return out
-
-
 def _tropical(s: Slipface, t: Slipface, kind: str) -> Slipface:
-    """star (min-plus) or tll (max-minus) of s and t on one box, sized once
+    """star or tll of s and t by one min-plus kernel on one box, sized once
     from the band bound band(u) <= B = S + T, S = band(s), T = band(t).
 
     Each band exceeds its |chi|; each slipface dominates max{0, chi + a - b},
@@ -577,8 +564,9 @@ def _tropical(s: Slipface, t: Slipface, kind: str) -> Slipface:
         T = sf_eval_grid(t, l0, l1, c0, c1)
         g = _min_plus(S, T)
     else:  # tll
+        # max_l S[a, l] - Td[b, l] = -min_l (-S[a, l] + Td.T[l, b])
         Td = sf_eval_grid(sf_dual(t), c0, c1, l0, l1)
-        g = _max_minus(S, Td)
+        g = -_min_plus(-S, np.ascontiguousarray(Td.T))
 
     A = np.arange(c0, c1 + 1, dtype=np.int64)[:, None]
     B = np.arange(c0, c1 + 1, dtype=np.int64)[None, :]

@@ -90,13 +90,13 @@ def sigma_members(q):
     return members if make_sigma_set(members) == q else None
 
 
-def check_products(p, q, kinds=tuple(FAST)):
-    """star, tll and tlr of (p, q), or those named in kinds, against every
-    reference that applies and fits the size caps.  Returns the names of
-    the references that ran, by kind; a kind with none is checked by its
-    mirror and adjoint identities alone."""
-    got = {kind: FAST[kind](p, q) for kind in kinds}
-    refs = [(kind, "grid", lambda kind=kind: grid_product(kind, p, q)) for kind in kinds]
+def check_products(p, q):
+    """star, tll and tlr of (p, q) against every reference that applies and
+    fits the size caps.  Returns the names of the references that ran, by
+    kind; a kind with none is checked by its mirror and adjoint identities
+    alone."""
+    got = {kind: fast(p, q) for kind, fast in FAST.items()}
+    refs = [(kind, "grid", lambda kind=kind: grid_product(kind, p, q)) for kind in FAST]
     d = sd_size(p, q)
     if d is not None and d <= 5:
         refs += [("star", "greedy", lambda: oracle_greedy_max(p, q, d)),
@@ -110,8 +110,8 @@ def check_products(p, q, kinds=tuple(FAST)):
     if members is not None:
         refs += [("star", "sigma", lambda: star_sigma(p, members)),
                  ("tll", "sigma", lambda: tll_sigma(p, members))]
-    ran = {kind: [] for kind in kinds}
-    for kind, name, ref in (r for r in refs if r[0] in got):
+    ran = {kind: [] for kind in FAST}
+    for kind, name, ref in refs:
         try:
             want = ref()
         except ResourceLimit:  # its box or table exceeds a size cap
@@ -125,12 +125,12 @@ def check_products(p, q, kinds=tuple(FAST)):
             except ResourceLimit:
                 continue
             assert bruhat_leq_witness(a, b) == want, (a, b)
-    for kind in kinds:
+    for kind in FAST:
         if not ran[kind]:
             assert got[kind] == inverse(MIRROR[kind](inverse(q), inverse(p))), (kind, p, q)
-    if "tll" in got and not ran["tll"]:
+    if not ran["tll"]:
         assert bruhat_leq(p, star(got["tll"], inverse(q))), (p, q)
-    if "tlr" in got and not ran["tlr"]:
+    if not ran["tlr"]:
         assert bruhat_leq(q, star(inverse(p), got["tlr"])), (p, q)
     return ran
 
@@ -318,9 +318,7 @@ def sd_middles(rng, k):
     p = compose(m, s)
     assert not has_equal_tails(p)
     s = sym(rng, 80)
-    # star alone at S_80: the grid takes seconds per adjoint there
-    pairs = [(p, t), (inverse(t), compose(make_shift(3), inverse(p)))]
-    return pairs + [(compose(m, s), s, ["star"])]
+    return [(p, t), (inverse(t), compose(make_shift(3), inverse(p))), (compose(m, s), s)]
 
 
 def s80_middles(rng, k):
@@ -433,7 +431,7 @@ def row(family, *args, seed=SEED, id=None, unchecked="", extended=False):
 
 def agreement_test(rows):
     def test(pairs, unchecked):
-        ran = [check_products(p, q, *kinds) for p, q, *kinds in pairs()]
+        ran = [check_products(p, q) for p, q in pairs()]
         assert {kind for refs in ran for kind in refs if not refs[kind]} == set(unchecked.split())
     if len(rows) > 1 or rows[0].id is not None:
         return pytest.mark.parametrize("pairs, unchecked", rows)(test)
@@ -711,6 +709,28 @@ def test_affine_products_build_no_grid(rng):
     assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
+def test_globally_periodic_pairs_fold_shift_0_periods(rng, monkeypatch):
+    fold, calls = finitary._affine_fold, []
+
+    def spy(x, v, ascents):
+        k = len(x)
+        assert sum(x) == sum(v) == k * (k - 1) // 2, (x, v)
+        calls.append(k)
+        return fold(x, v, ascents)
+
+    monkeypatch.setattr(finitary, "_affine_fold", spy)
+    pairs = [(compose(rand_affine(rng, 7), make_shift(chi)), rand_affine(rng, 5))
+             for chi in (15, -15)]
+    while len(pairs) < 12:
+        p, q = rand_affine(rng, rng.randint(2, 7)), rand_affine(rng, rng.randint(2, 7))
+        if p.chi and q.chi and p.period > 1 < q.period:
+            pairs.append((p, q))
+    for p, q in pairs:
+        for kind, fast in FAST.items():
+            assert fast(p, q) == grid_product(kind, p, q), (kind, p, q)
+    assert len(calls) == 3 * len(pairs)
+
+
 def test_affine_size_caps_apply_before_folding(rng, monkeypatch, max_window):
     # the period 8633 = 89 * 97 is far under the window cap, and the words,
     # about 4 * 10^5 letters, far under the cell cap: all three fold, and
@@ -986,16 +1006,15 @@ def test_factored_grid_equals_the_unfactored_grid(rng):
     while len(pairs) < 12:
         p, q = zoo_perm(rng), zoo_perm(rng)
         if max(abs(p.chi), abs(q.chi)) <= 5 and (p.chi or q.chi):
-            pairs.append((p, q, FAST))
-    # |chi| = 50, where the unfactored boxes grow with the shift (star alone,
-    # to bound the time), and two windows near +10^4, neither globally
-    # periodic, which grid_product conjugates to 0
-    p = compose(make_shift(50), rand_affine(rng, 3, 2))
-    pairs.append((p, rand_affine(rng, 4, 2), ["star"]))
+            pairs.append((p, q))
+    # |chi| = 50, where the unfactored boxes grow with the shift, and two
+    # windows near +10^4, neither globally periodic, which grid_product
+    # conjugates to 0
+    pairs.append((compose(make_shift(50), rand_affine(rng, 3, 2)), rand_affine(rng, 4, 2)))
     p = star(rand_affine(rng, 2, 1), sym(rng, 4, 10**4))
-    pairs.append((p, sym(rng, 5, 10**4 + 3, chi=2), FAST))
-    for p, q, kinds in pairs:
-        for kind in kinds:
+    pairs.append((p, sym(rng, 5, 10**4 + 3, chi=2)))
+    for p, q in pairs:
+        for kind in grid:
             unfactored = sf_to_perm(grid[kind](sf_from_perm(p), sf_from_perm(q)))
             assert grid_product(kind, p, q) == unfactored, (kind, p, q)
 
